@@ -37,7 +37,10 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     if getattr(args, "adaptive", None) is not None:
         scenario = dataclasses.replace(scenario, adaptive=args.adaptive == "on")
     if getattr(args, "seed", None) is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        try:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+        except ValueError as err:
+            raise ConfigError(f"--seed: {err}") from err
     return scenario
 
 

@@ -13,8 +13,6 @@ import math
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class DomainError(ValueError):
     """A dynamics evaluation received a non-finite input."""
@@ -54,6 +52,10 @@ class PlantState:
 
 
 _DISTURBANCE_KINDS = ("none", "constant", "sinusoid", "bounded-uniform-random")
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,15 @@ class DisturbanceSpec:
             raise ValueError("disturbance amplitude must be >= 0")
         if self.kind == "sinusoid" and not self.frequency > 0:
             raise ValueError("sinusoid disturbance needs frequency > 0")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"disturbance.seed must be in [0, 2**64), got {self.seed}")
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer: a bijection on 64-bit integers with full avalanche."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
@@ -82,11 +93,14 @@ def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
         return spec.amplitude
     if spec.kind == "sinusoid":
         return spec.amplitude * math.sin(2.0 * math.pi * spec.frequency * t)
-    # bounded-uniform-random: keyed by (seed, bit pattern of t) so that RK4
-    # sub-stage sampling is reproducible and independent of call order
-    bits = struct.unpack("<Q", struct.pack("<d", float(t)))[0]
-    rng = np.random.default_rng((spec.seed, bits))
-    return float(rng.uniform(-spec.amplitude, spec.amplitude))
+    # bounded-uniform-random: a counter-based stream, hashing (seed, bit
+    # pattern of t) so that RK4 stage sampling is reproducible and independent
+    # of call order.  Both mixes are bijections, so at one t two seeds never
+    # share a 64-bit hash.
+    bits = _U64.unpack(_F64.pack(t))[0]
+    z = _mix64(_mix64((spec.seed + _GOLDEN_GAMMA) & _MASK64) ^ bits)
+    # top 53 bits -> [-1, 1) exactly; scaling by the amplitude is monotone
+    return spec.amplitude * ((z >> 11) * 2.0**-52 - 1.0)
 
 
 def _check_finite(**values: float) -> None:
@@ -140,32 +154,45 @@ def step(
     """Advance the plant by one classic RK4 step of size dt.
 
     u is held constant over the step (zero-order hold); the disturbance is
-    sampled at each RK4 stage time.  Raises IntegrationBlowupError if the
-    update leaves the finite range.
+    sampled at the RK4 stage times t, t + dt/2 (shared by k2 and k3) and
+    t + dt.  Raises IntegrationBlowupError if the update leaves the finite
+    range.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
     _check_finite(u=u)
+    g, m, l = params.g, params.m, params.l
+    m_sum = params.m_c + m
+    ml = m * l
 
-    def f(x1: float, x2: float, ts: float) -> tuple[float, float]:
-        s = PlantState(x1, x2)
-        return x2, drift_term(params, s) + gain_term(params, s) * u + disturbance_value(
-            disturbance, ts
-        )
+    def accel(x1: float, x2: float, d: float) -> float:
+        # drift_term + gain_term * u + d with their exact expression order,
+        # so traces match derivatives() bit for bit
+        s, c = math.sin(x1), math.cos(x1)
+        den = l * (4.0 / 3.0 - m * c**2 / m_sum)
+        return (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d
 
     x1, x2 = state.x1, state.x2
+    h = 0.5 * dt
+    d_start = disturbance_value(disturbance, t)
+    d_mid = disturbance_value(disturbance, t + h)
+    d_end = disturbance_value(disturbance, t + dt)
     try:
-        k1 = f(x1, x2, t)
-        k2 = f(x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1], t + 0.5 * dt)
-        k3 = f(x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1], t + 0.5 * dt)
-        k4 = f(x1 + dt * k3[0], x2 + dt * k3[1], t + dt)
-    except (OverflowError, DomainError) as err:
-        # stage values left the representable range (e.g. x2^2 overflow)
+        k1x, k1v = x2, accel(x1, x2, d_start)
+        k2x = x2 + h * k1v
+        k2v = accel(x1 + h * k1x, k2x, d_mid)
+        k3x = x2 + h * k2v
+        k3v = accel(x1 + h * k2x, k3x, d_mid)
+        k4x = x2 + dt * k3v
+        k4v = accel(x1 + dt * k3x, k4x, d_end)
+    except (OverflowError, ValueError) as err:
+        # stage values left the representable range: x2**2 overflows, or
+        # math.sin/cos meet an infinite angle
         raise IntegrationBlowupError(
             f"plant state became non-finite at t={t:.6f}"
         ) from err
-    nx1 = x1 + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    nx2 = x2 + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    nx1 = x1 + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    nx2 = x2 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     if not (math.isfinite(nx1) and math.isfinite(nx2)):
         raise IntegrationBlowupError(f"plant state became non-finite at t={t + dt:.6f}")
     return PlantState(nx1, nx2)

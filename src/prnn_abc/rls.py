@@ -74,7 +74,10 @@ def update(s: RlsState, pi: np.ndarray, y: float) -> RlsState:
     """
     pi = np.asarray(pi, dtype=float)
     denom = 1.0 + float(pi @ s.M @ pi)
-    assert denom > 0.0, "1 + Pi'M Pi must stay positive for SPD M"
+    if not denom > 0.0:
+        raise FloatingPointError(
+            f"1 + Pi'M Pi = {denom!r} is not positive; M has lost positive definiteness"
+        )
     gain = (s.M @ pi) / denom
     err = y - float(pi @ s.theta_hat)
     theta = s.theta_hat + gain * err

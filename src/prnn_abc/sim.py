@@ -108,6 +108,8 @@ class Scenario:
             )
         if not self.settle_tol > 0:
             raise ValueError("settle_tol > 0 required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def default_scenario() -> Scenario:

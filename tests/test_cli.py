@@ -59,6 +59,7 @@ def test_simulate_rejects_bad_config(tmp_path):
     bad.write_text("gains: {c1: -1.0}\n", encoding="utf-8")
     code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
+    assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
 
 
 def test_simulate_unknown_key_exit_code(tmp_path):

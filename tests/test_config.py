@@ -110,3 +110,14 @@ def test_malformed_yaml_reports_config_error(tmp_path):
 def test_non_mapping_root_rejected():
     with pytest.raises(ConfigError, match="mapping"):
         parse_scenario([1, 2, 3])
+
+
+def test_negative_disturbance_seed_rejected():
+    data = {"disturbance": {"kind": "bounded-uniform-random", "amplitude": 0.1, "seed": -3}}
+    with pytest.raises(ConfigError, match=r"disturbance\.seed"):
+        parse_scenario(data)
+
+
+def test_negative_top_level_seed_rejected():
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0"):
+        parse_scenario({"seed": -1, "adaptive": True})

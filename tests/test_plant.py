@@ -1,5 +1,6 @@
 """Plant dynamics: closed-form terms, RK4 integration, disturbances."""
 
+import itertools
 import math
 
 import numpy as np
@@ -195,6 +196,61 @@ def test_step_blowup_raises_with_time():
             state = step(PARAMS, state, 0.0, NO_DIST, k * 1e6, 1e6)
 
 
+def test_step_blowup_from_stage_overflow():
+    # x2**2 overflows in the first stage: a float OverflowError inside the step
+    with pytest.raises(IntegrationBlowupError, match="t=") as info:
+        step(PARAMS, PlantState(1.0, 1e200), 0.0, NO_DIST, 0.0, 0.001)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_step_blowup_from_infinite_stage_angle():
+    # finite inputs whose second stage angle x1 + dt/2 * x2 is inf, so
+    # math.sin raises ValueError inside the step
+    with pytest.raises(IntegrationBlowupError, match="t=") as info:
+        step(PARAMS, PlantState(1e308, 1e150), 0.0, NO_DIST, 0.0, 1e160)
+    assert type(info.value.__cause__) is ValueError
+
+
+def _reference_step(state, u, spec, t, dt):
+    """Textbook RK4 over the public derivatives, sampling d at all four stages."""
+
+    def f(x1, x2, ts):
+        return derivatives(PARAMS, PlantState(x1, x2), u, disturbance_value(spec, ts))
+
+    x1, x2 = state.x1, state.x2
+    k1 = f(x1, x2, t)
+    k2 = f(x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1], t + 0.5 * dt)
+    k3 = f(x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1], t + 0.5 * dt)
+    k4 = f(x1 + dt * k3[0], x2 + dt * k3[1], t + dt)
+    return PlantState(
+        x1 + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        x2 + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NO_DIST,
+        DisturbanceSpec(kind="constant", amplitude=0.4),
+        DisturbanceSpec(kind="sinusoid", amplitude=0.8, frequency=1.3),
+        DisturbanceSpec(kind="bounded-uniform-random", amplitude=0.5, seed=3),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_step_bit_identical_to_reference_rk4(spec):
+    # exact equality pins the fused step to the expression order of
+    # drift_term/gain_term; large steps keep a one-ulp stage difference
+    # from being rounded away in x + dt/6 * (...)
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        state = PlantState(rng.uniform(-1.4, 1.4), rng.uniform(-6, 6))
+        u = rng.uniform(-40, 40)
+        t = rng.uniform(0, 10)
+        dt = rng.choice([1e-3, 1e-2, 0.1, 1.0])
+        assert step(PARAMS, state, u, spec, t, dt) == _reference_step(state, u, spec, t, dt)
+
+
 def test_disturbance_kinds():
     assert disturbance_value(DisturbanceSpec(), 3.0) == 0.0
     assert disturbance_value(DisturbanceSpec(kind="constant", amplitude=1.5), 3.0) == 1.5
@@ -214,6 +270,35 @@ def test_random_disturbance_deterministic_and_bounded():
     assert disturbance_value(other, 0.5) != disturbance_value(spec, 0.5)
 
 
+def test_random_disturbance_golden_values():
+    # SplitMix64 of (seed, bits of t); pinned so the stream cannot drift unnoticed
+    def draw(seed, t):
+        spec = DisturbanceSpec(kind="bounded-uniform-random", amplitude=1.0, seed=seed)
+        return disturbance_value(spec, t)
+
+    assert draw(0, 0.0) == -0.4364774045548301
+    assert draw(7, 0.5) == 0.37397756259167036
+    assert draw(2**40, 1.2345) == 0.03358515218094671
+
+
+def test_random_disturbance_uniform_statistics():
+    amplitude = 0.5
+    ts = np.arange(20_000) * 1e-3
+    streams = []
+    for seed in (0, 1, 2**40):
+        spec = DisturbanceSpec(kind="bounded-uniform-random", amplitude=amplitude, seed=seed)
+        values = np.array([disturbance_value(spec, t) for t in ts])
+        assert np.all(np.abs(values) <= amplitude)
+        # mean and variance of U(-a, a): 0 and a^2/3; the standard error of
+        # the mean is about 0.002 here
+        assert abs(values.mean()) < 0.02
+        assert values.var() == pytest.approx(amplitude**2 / 3.0, rel=0.05)
+        streams.append(values)
+    for a, b in itertools.combinations(streams, 2):
+        assert not np.any(a == b)
+        assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
+
+
 def test_disturbance_spec_validation():
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="gusts")
@@ -221,6 +306,9 @@ def test_disturbance_spec_validation():
         DisturbanceSpec(kind="constant", amplitude=-1.0)
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="sinusoid", amplitude=1.0, frequency=0.0)
+    for seed in (-3, 2**64):
+        with pytest.raises(ValueError, match="disturbance.seed"):
+            DisturbanceSpec(kind="bounded-uniform-random", amplitude=1.0, seed=seed)
 
 
 def test_controllable_flag():

@@ -11,6 +11,7 @@ from prnn_abc.qp import Weights, assemble
 from prnn_abc.rls import (
     EstimatedPhysical,
     NotYetIdentifiableError,
+    RlsState,
     adaptive_coefficients,
     extract_physical,
     initial_state,
@@ -68,6 +69,14 @@ def test_update_zero_regressor_is_identity():
     assert np.array_equal(s2.theta_hat, s.theta_hat)
     assert np.array_equal(s2.M, s.M)
     assert s2.k == 1
+
+
+def test_update_rejects_non_spd_covariance():
+    # -10*I makes 1 + Pi'M Pi = -9 for a unit regressor; the check must
+    # survive `python -O`, so it is an exception rather than an assert
+    s = RlsState(theta_hat=np.zeros(3), M=-10.0 * np.eye(3))
+    with pytest.raises(FloatingPointError, match="positive"):
+        update(s, np.array([1.0, 0.0, 0.0]), 0.0)
 
 
 def test_update_consistent_sample_keeps_estimate():
