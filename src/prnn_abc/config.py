@@ -137,17 +137,7 @@ def parse_scenario(data: dict) -> Scenario:
         sec.finish()
 
         sec = _section(root, "prnn")
-        inner_steps = sec.take_int("inner_steps", 20)
-        tol_raw = sec.take("tol", None)
-        if tol_raw is not None and (isinstance(tol_raw, bool) or not isinstance(tol_raw, (int, float))):
-            raise ConfigError(f"key 'prnn.tol' must be a number or omitted, got {tol_raw!r}")
-        prnn_cfg = PrnnConfig.for_period(
-            timing.control_period,
-            vartheta=sec.take_number("vartheta", 50.0),
-            inner_steps=inner_steps,
-            tol=None if tol_raw is None else float(tol_raw),
-            rate_convention=sec.take_str("rate_convention", "multiply"),
-        )
+        prnn_cfg = PrnnConfig(vartheta=sec.take_number("vartheta", 50.0))
         sec.finish()
 
         sec = _section(root, "rls")
@@ -220,11 +210,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             "control_period": s.timing.control_period,
             "duration": s.timing.duration,
         },
-        "prnn": {
-            "vartheta": s.prnn.vartheta,
-            "inner_steps": s.prnn.inner_steps,
-            "rate_convention": s.prnn.rate_convention,
-        },
+        "prnn": {"vartheta": s.prnn.vartheta},
         "rls": {
             "theta0_perturbation": s.rls.theta0_perturbation,
             "m0_scale": s.rls.m0_scale,
@@ -235,8 +221,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "seed": s.seed,
         "settle_tol": s.settle_tol,
     }
-    if s.prnn.tol is not None:
-        out["prnn"]["tol"] = s.prnn.tol
     if s.rls.theta0 is not None:
         out["rls"]["theta0"] = list(s.rls.theta0)
     return out

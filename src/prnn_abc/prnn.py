@@ -10,10 +10,17 @@ the fixed-point form of the variational-inequality optimality condition.
 The control output u is algebraically coupled to phi at every instant, so
 the network doubles as a real-time controller state.
 
-Rate-constant placement: with `rate_convention="multiply"` (default) a larger
-vartheta speeds convergence, matching the interior closed form
-phi(t) = phi0 * exp(-vartheta*t).  `"divide"` keeps the alternative reading
-vartheta * dphi/dt = PR(u - phi) - u.
+With P and Q frozen over a control period the right-hand side is piecewise
+affine in phi.  Where the projection is inactive phi decays toward 0 at rate
+vartheta; where it clamps u - phi to a bound b, phi decays toward Q*b + P at
+rate vartheta/Q.  The pieces meet at the breakpoints (Q*b + P)/(1 - Q) (none
+when Q == 1).  A scalar ODE with a continuous right-hand side is monotone, so
+phi moves toward the equilibrium phi* and crosses at most two breakpoints on
+the way.  relax() therefore integrates the network exactly: on each piece it
+either reaches the next breakpoint after ln((phi - target)/(phi_b - target))/r
+or ends at target + (phi - target)*exp(-r*t).  A larger vartheta speeds
+convergence; the reading vartheta * dphi/dt = PR(u - phi) - u is the same
+flow with vartheta replaced by 1/vartheta.
 """
 
 from __future__ import annotations
@@ -23,8 +30,6 @@ from dataclasses import dataclass
 
 from .qp import QpCoefficients, solve_oracle
 
-_RATE_CONVENTIONS = ("multiply", "divide")
-
 
 class IntegrationDivergedError(RuntimeError):
     """Network integration left the finite range."""
@@ -32,45 +37,16 @@ class IntegrationDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrnnConfig:
-    """Integration settings for the network ODE.
+    """Network settings.
 
     vartheta: convergence-rate constant (1/s), > 0.
-    inner_dt: RK4 sub-step (s); inner_dt * inner_steps spans one control period.
-    tol: optional residual threshold for early termination inside relax().
     """
 
     vartheta: float = 50.0
-    inner_dt: float = 0.0005
-    inner_steps: int = 20
-    tol: float | None = None
-    rate_convention: str = "multiply"
 
     def __post_init__(self):
         if not self.vartheta > 0:
             raise ValueError("vartheta > 0 required")
-        if not self.inner_dt > 0:
-            raise ValueError("inner_dt > 0 required")
-        if self.inner_steps < 1:
-            raise ValueError("inner_steps >= 1 required")
-        if self.rate_convention not in _RATE_CONVENTIONS:
-            raise ValueError(f"unknown rate_convention {self.rate_convention!r}")
-
-    @staticmethod
-    def for_period(
-        period: float,
-        vartheta: float = 50.0,
-        inner_steps: int = 20,
-        tol: float | None = None,
-        rate_convention: str = "multiply",
-    ) -> "PrnnConfig":
-        """Config whose sub-steps exactly tile one control period."""
-        return PrnnConfig(
-            vartheta=vartheta,
-            inner_dt=period / inner_steps,
-            inner_steps=inner_steps,
-            tol=tol,
-            rate_convention=rate_convention,
-        )
 
 
 @dataclass(frozen=True)
@@ -87,6 +63,9 @@ class PrnnState:
 
 @dataclass(frozen=True)
 class RelaxResult:
+    """Network state after integration, its equilibrium residual, and the
+    number of affine pieces (relax) or chunks (relax_until) integrated."""
+
     state: PrnnState
     residual: float
     substeps: int
@@ -118,50 +97,59 @@ def equilibrium_residual(phi: float, q: QpCoefficients) -> float:
     return abs(project(u - phi, (q.u_min, q.u_max)) - u)
 
 
-def _phi_rate(phi: float, q: QpCoefficients, cfg: PrnnConfig) -> float:
-    u = control_output(phi, q)
-    raw = project(u - phi, (q.u_min, q.u_max)) - u
-    if cfg.rate_convention == "multiply":
-        return cfg.vartheta * raw
-    return raw / cfg.vartheta
+def _affine_piece(phi: float, q: QpCoefficients, vartheta: float) -> tuple[float, float]:
+    """Target and decay rate of the affine piece of the network ODE at phi."""
+    w = control_output(phi, q) - phi
+    clamped = project(w, (q.u_min, q.u_max))
+    if clamped == w:
+        return 0.0, vartheta
+    return q.Q * clamped + q.P, vartheta / q.Q
 
 
-def phi_derivative(s: PrnnState, q: QpCoefficients, cfg: PrnnConfig) -> float:
-    """Right-hand side of the network ODE evaluated at the current state."""
-    return _phi_rate(s.phi, q, cfg)
+def _flow(phi: float, q: QpCoefficients, vartheta: float, duration: float) -> tuple[float, int]:
+    """Exact network state after `duration` from phi, and the pieces it used."""
+    phi_star = equilibrium_phi(q)
+    breakpoints = []
+    if q.Q != 1.0:
+        lo, hi = sorted((phi, phi_star))
+        for bound in (q.u_min, q.u_max):
+            phi_b = (q.Q * bound + q.P) / (1.0 - q.Q)
+            if lo < phi_b < hi:
+                breakpoints.append(phi_b)
+        breakpoints.sort(key=lambda b: abs(b - phi))
+    left = duration
+    for pieces, phi_b in enumerate(breakpoints, start=1):
+        # the piece is identified at its midpoint, clear of both ends
+        target, rate = _affine_piece(0.5 * (phi + phi_b), q, vartheta)
+        ratio = (phi - target) / (phi_b - target)
+        # ratio <= 0 only when rounding puts the target before the breakpoint
+        reach = math.log(ratio) / rate if ratio > 0.0 else math.inf
+        if reach >= left:
+            return target + (phi - target) * math.exp(-rate * left), pieces
+        phi, left = phi_b, left - reach
+    target, rate = _affine_piece(0.5 * (phi + phi_star), q, vartheta)
+    return target + (phi - target) * math.exp(-rate * left), len(breakpoints) + 1
 
 
-def _rk4_substep(phi: float, q: QpCoefficients, cfg: PrnnConfig, h: float) -> float:
-    k1 = _phi_rate(phi, q, cfg)
-    k2 = _phi_rate(phi + 0.5 * h * k1, q, cfg)
-    k3 = _phi_rate(phi + 0.5 * h * k2, q, cfg)
-    k4 = _phi_rate(phi + h * k3, q, cfg)
-    return phi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _result(phi: float, q: QpCoefficients, substeps: int) -> RelaxResult:
+    state = PrnnState.from_phi(phi, q)
+    if not (math.isfinite(state.phi) and math.isfinite(state.u)):
+        raise IntegrationDivergedError(
+            f"network state became non-finite (phi={state.phi}, u={state.u})"
+        )
+    return RelaxResult(state, equilibrium_residual(phi, q), substeps)
 
 
-def relax(s: PrnnState, q: QpCoefficients, cfg: PrnnConfig) -> RelaxResult:
-    """Integrate the network over one control period with frozen P, Q.
+def relax(
+    s: PrnnState, q: QpCoefficients, cfg: PrnnConfig, duration: float
+) -> RelaxResult:
+    """Integrate the network exactly over `duration` with frozen P, Q.
 
-    Runs cfg.inner_steps RK4 sub-steps of cfg.inner_dt, recomputing
-    u = Q^-1 (phi - P) after each.  If cfg.tol is set, stops as soon as the
-    equilibrium residual falls below it.
+    Raises IntegrationDivergedError if the resulting state is not finite,
+    which non-finite coefficients can cause.
     """
-    phi = s.phi
-    taken = 0
-    for _ in range(cfg.inner_steps):
-        if cfg.tol is not None and equilibrium_residual(phi, q) <= cfg.tol:
-            break
-        phi = _rk4_substep(phi, q, cfg, cfg.inner_dt)
-        taken += 1
-        if not math.isfinite(phi):
-            raise IntegrationDivergedError(
-                f"network state became non-finite after {taken} sub-steps"
-            )
-    return RelaxResult(
-        state=PrnnState.from_phi(phi, q),
-        residual=equilibrium_residual(phi, q),
-        substeps=taken,
-    )
+    phi, pieces = _flow(s.phi, q, cfg.vartheta, duration)
+    return _result(phi, q, pieces)
 
 
 def relax_until(
@@ -169,38 +157,29 @@ def relax_until(
     q: QpCoefficients,
     cfg: PrnnConfig,
     tol: float,
+    step: float,
     max_steps: int = 2_000_000,
 ) -> RelaxResult:
     """Integrate with frozen coefficients until the residual reaches tol.
 
-    Verification-oriented variant of relax(): ignores cfg.inner_steps and
-    keeps sub-stepping (cfg.inner_dt) until |PR(u - phi) - u| <= tol or
-    max_steps is exhausted.
+    Verification-oriented variant of relax(): advances the exact flow in
+    chunks of `step` seconds until |PR(u - phi) - u| <= tol or max_steps
+    chunks are spent; substeps counts the chunks taken.
     """
-    phi = s.phi
-    for taken in range(max_steps + 1):
-        res = equilibrium_residual(phi, q)
-        if res <= tol:
-            return RelaxResult(PrnnState.from_phi(phi, q), res, taken)
-        phi = _rk4_substep(phi, q, cfg, cfg.inner_dt)
-        if not math.isfinite(phi):
-            raise IntegrationDivergedError(
-                f"network state became non-finite after {taken + 1} sub-steps"
-            )
-    return RelaxResult(
-        PrnnState.from_phi(phi, q), equilibrium_residual(phi, q), max_steps
-    )
-
-
-def stationarity_residual(s: PrnnState, q: QpCoefficients) -> float:
-    """Q*u + P - phi; identically zero when u came from the output equation."""
-    return q.Q * s.u + q.P - s.phi
+    result = _result(s.phi, q, 0)
+    for taken in range(1, max_steps + 1):
+        if result.residual <= tol:
+            return result
+        phi, _ = _flow(result.state.phi, q, cfg.vartheta, step)
+        result = _result(phi, q, taken)
+    return result
 
 
 def stable_inner_dt(q: QpCoefficients, vartheta: float, safety: float = 0.5) -> float:
     """Sub-step keeping RK4 stable for both regimes of the piecewise dynamics.
 
     The interior regime decays at rate vartheta, the clamped regime at
-    vartheta/Q; the stiffer of the two sets the step bound.
+    vartheta/Q; the stiffer of the two sets the step bound.  relax() no
+    longer sub-steps; this stays as a named hook of the benchmark tracer.
     """
     return safety * min(1.0, q.Q) / vartheta

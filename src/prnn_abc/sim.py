@@ -101,11 +101,6 @@ class Scenario:
     def __post_init__(self):
         if not self.bounds[0] < self.bounds[1]:
             raise ValueError("bounds must satisfy u_min < u_max")
-        tiled = self.prnn.inner_dt * self.prnn.inner_steps
-        if abs(tiled - self.timing.control_period) > 1e-9 * self.timing.control_period:
-            raise ValueError(
-                "prnn.inner_dt * prnn.inner_steps must equal the control period"
-            )
         if not self.settle_tol > 0:
             raise ValueError("settle_tol > 0 required")
         if self.seed < 0:
@@ -205,8 +200,9 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
     """Simulate the projection-network controller over the full duration.
 
     Returns the per-control-step trace and a summary.  Aborts (angle leaving
-    the controllable half-plane, integrator blowup) terminate the loop early
-    and are reported through the summary flags rather than raised.
+    the controllable half-plane, plant blowup, non-finite network state)
+    terminate the loop early and are reported through the summary flags
+    rather than raised.
     """
     sc = scenario
     period = sc.timing.control_period
@@ -263,7 +259,11 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
         else:
             coeffs = qp.assemble(a, b, e, refs[2], sc.gains, sc.weights, sc.bounds)
 
-        relaxed = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, sc.prnn)
+        try:
+            relaxed = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, sc.prnn, period)
+        except prnn.IntegrationDivergedError as err:
+            aborted, reason = True, f"{err} at t={t:.6f}"
+            break
         phi = relaxed.state.phi
         # final safety clamp: the actuator constraint holds even mid-transient
         u = prnn.project(relaxed.state.u, sc.bounds)

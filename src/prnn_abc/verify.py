@@ -55,17 +55,17 @@ def suite_prnn_oracle(seed: int = 0, n: int = 1000) -> SuiteResult:
     """
     rng = np.random.default_rng(seed)
     vartheta = 50.0
+    cfg = PrnnConfig(vartheta=vartheta)
     worst = 0.0
     unconverged = 0
     for _ in range(n):
         coeffs = _random_qp(rng)
         phi0 = rng.uniform(-50.0, 50.0)
-        cfg = PrnnConfig(
-            vartheta=vartheta,
-            inner_dt=prnn.stable_inner_dt(coeffs, vartheta),
-            inner_steps=1,
+        # chunks of one time constant of the slower regime
+        step = max(1.0, coeffs.Q) / vartheta
+        result = prnn.relax_until(
+            PrnnState.from_phi(phi0, coeffs), coeffs, cfg, tol=1e-9, step=step
         )
-        result = prnn.relax_until(PrnnState.from_phi(phi0, coeffs), coeffs, cfg, tol=1e-9)
         if result.residual > 1e-9:
             unconverged += 1
             continue
@@ -87,17 +87,17 @@ def suite_prnn_decay(seed: int = 0) -> SuiteResult:
     times = []
     for vartheta in (1.0, 10.0, 100.0):
         h = 0.1 / vartheta
-        cfg = PrnnConfig(vartheta=vartheta, inner_dt=h, inner_steps=1)
+        cfg = PrnnConfig(vartheta=vartheta)
         phi = 1.0
         ts, logs = [0.0], [0.0]
         for k in range(30):  # spans 3/vartheta seconds
-            phi = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, cfg).state.phi
+            phi = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, cfg, h).state.phi
             ts.append((k + 1) * h)
             logs.append(math.log(abs(phi)))
         slope = np.polyfit(ts, logs, 1)[0]
         worst_rate_err = max(worst_rate_err, abs(-slope - vartheta) / vartheta)
         reached = prnn.relax_until(
-            PrnnState.from_phi(1.0, coeffs), coeffs, cfg, tol=1e-6
+            PrnnState.from_phi(1.0, coeffs), coeffs, cfg, tol=1e-6, step=h
         )
         times.append(reached.substeps * h)
     monotone = all(t2 < t1 for t1, t2 in zip(times, times[1:]))
@@ -129,7 +129,6 @@ def suite_lyapunov(seed: int = 0, scenario: Scenario | None = None) -> SuiteResu
     if scenario is not None:
         return monitor_scenario(scenario)
     timing = _baseline_timing()
-    prnn_cfg = PrnnConfig.for_period(timing.control_period)
     cases = []
     for c1, c2 in ((1.0, 1.0), (2.0, 2.0), (3.0, 1.0)):
         for ref, x10 in (
@@ -141,7 +140,6 @@ def suite_lyapunov(seed: int = 0, scenario: Scenario | None = None) -> SuiteResu
                     initial=PlantState(x10, 0.0),
                     reference=ref,
                     gains=Gains(c1=c1, c2=c2),
-                    prnn=prnn_cfg,
                     timing=timing,
                 )
             )
@@ -193,7 +191,7 @@ def _stabilization_scenario() -> Scenario:
         gains=Gains(2.0, 2.0),
         weights=qp.Weights(T=100.0, R=0.01),
         bounds=(-30.0, 30.0),
-        prnn=PrnnConfig.for_period(0.01, vartheta=50.0),
+        prnn=PrnnConfig(vartheta=50.0),
         timing=Timing(plant_dt=0.001, control_period=0.01, duration=5.0),
     )
 
@@ -301,7 +299,7 @@ def _rls_scenario(seed: int) -> Scenario:
     return Scenario(
         initial=PlantState(0.0, 0.0),
         reference=ReferenceSignal(kind="sinusoid", amplitude=0.5, frequency=0.5),
-        prnn=PrnnConfig.for_period(0.01, vartheta=50.0),
+        prnn=PrnnConfig(vartheta=50.0),
         timing=Timing(plant_dt=0.001, control_period=0.01, duration=5.0),
         adaptive=True,
         seed=seed,

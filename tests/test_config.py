@@ -31,8 +31,9 @@ def test_round_trip_identity():
         default_scenario(),
         sinusoid_scenario(),
         parse_scenario({"adaptive": True, "rls": {"theta0": [0.1, 2.1, 1.7]}}),
-        parse_scenario({"prnn": {"tol": 1e-8, "rate_convention": "divide"}}),
+        parse_scenario({"prnn": {"vartheta": 12.5}}),
     ):
+        assert scenario_to_dict(scenario)["prnn"] == {"vartheta": scenario.prnn.vartheta}
         once = parse_scenario(scenario_to_dict(scenario))
         assert once == scenario
         twice = parse_scenario(yaml.safe_load(dumps_scenario(once)))
@@ -74,11 +75,13 @@ def test_type_errors():
         parse_scenario({"rls": {"theta0": [1.0, 2.0]}})
 
 
-def test_prnn_tiling_derived_from_timing():
-    scenario = parse_scenario(
-        {"timing": {"control_period": 0.02, "plant_dt": 0.002}, "prnn": {"inner_steps": 8}}
-    )
-    assert scenario.prnn.inner_dt * scenario.prnn.inner_steps == pytest.approx(0.02, rel=1e-15)
+@pytest.mark.parametrize(
+    "key, value", [("inner_steps", 20), ("tol", 1e-9), ("rate_convention", "divide")]
+)
+def test_removed_prnn_keys_rejected(key, value):
+    # the network is integrated exactly, so its former sub-stepping knobs are gone
+    with pytest.raises(ConfigError, match=f"unknown key.*prnn.{key}"):
+        parse_scenario({"prnn": {"vartheta": 50.0, key: value}})
 
 
 def test_timing_mismatch_rejected():

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from prnn_abc import sim
 from prnn_abc.backstepping import Gains, ReferenceSignal
 from prnn_abc.plant import DisturbanceSpec, PlantState
 from prnn_abc.prnn import PrnnConfig
-from prnn_abc.qp import Weights
+from prnn_abc.qp import QpCoefficients, Weights
 from prnn_abc.sim import (
     Scenario,
     Timing,
@@ -34,8 +35,6 @@ def test_scenario_validation():
         Scenario(bounds=(1.0, -1.0))
     with pytest.raises(ValueError):
         Scenario(timing=Timing(plant_dt=0.003, control_period=0.01))
-    with pytest.raises(ValueError):
-        Scenario(prnn=PrnnConfig(inner_dt=0.001, inner_steps=3))  # does not tile 10 ms
     with pytest.raises(ValueError):
         Scenario(timing=Timing(duration=-1.0))
 
@@ -125,7 +124,6 @@ def test_exact_baseline_tracks_ideal_v2_rate():
     scenario = replace(
         STABILIZE,
         timing=Timing(plant_dt=0.001, control_period=0.001, duration=2.0),
-        prnn=PrnnConfig.for_period(0.001),
     )
     trace, summary = run_exact_baseline(scenario)
     assert not summary.aborted
@@ -143,7 +141,6 @@ def test_s2_rate_closed_form_matches_trajectory():
     scenario = replace(
         STABILIZE,
         timing=Timing(plant_dt=0.001, control_period=0.001, duration=2.0),
-        prnn=PrnnConfig.for_period(0.001),
     )
     trace, _ = run_exact_baseline(scenario)
     dt = scenario.timing.control_period
@@ -203,9 +200,45 @@ def test_saturation_scenario_respects_bounds():
     assert not summary.aborted
 
 
+def test_stiff_network_still_converges():
+    # vartheta * period = 100: the network settles well within every period
+    scenario = replace(
+        STABILIZE,
+        initial=PlantState(0.18, 0.0),
+        bounds=(-2.0, 2.0),
+        prnn=PrnnConfig(vartheta=1e4),
+        timing=Timing(0.001, 0.01, 5.0),
+    )
+    trace, summary = run(scenario)
+    assert not summary.aborted
+    assert summary.saturation_fraction > 0.0
+    assert math.isfinite(summary.time_to_prnn_residual)
+    assert trace[-1].prnn_residual < 1e-6
+
+
+def test_network_divergence_aborts(monkeypatch):
+    # non-finite QP coefficients from step 10 on make the network state NaN
+    real_assemble = sim.qp.assemble
+    calls = []
+
+    def assemble(*args):
+        calls.append(None)
+        q = real_assemble(*args)
+        if len(calls) <= 10:
+            return q
+        return QpCoefficients(P=math.nan, Q=q.Q, u_min=q.u_min, u_max=q.u_max)
+
+    monkeypatch.setattr(sim.qp, "assemble", assemble)
+    trace, summary = run(replace(STABILIZE, timing=Timing(0.001, 0.01, 1.0)))
+    assert summary.aborted
+    assert "non-finite" in summary.abort_reason
+    assert "t=0.100000" in summary.abort_reason
+    assert len(trace) == 10
+
+
 def test_timescale_consistency_under_faster_network():
-    # a 10x faster network with 10x finer sub-steps must not change the
-    # closed loop materially (the optimizer is already quasi-static)
+    # a 10x faster network must not change the closed loop materially (the
+    # optimizer is already quasi-static)
     base = replace(
         STABILIZE,
         initial=PlantState(0.15, 0.0),
@@ -214,7 +247,7 @@ def test_timescale_consistency_under_faster_network():
     )
     fast = replace(
         base,
-        prnn=PrnnConfig.for_period(0.01, vartheta=base.prnn.vartheta * 10, inner_steps=200),
+        prnn=PrnnConfig(vartheta=base.prnn.vartheta * 10),
     )
     trace_a, _ = run(base)
     trace_b, _ = run(fast)
