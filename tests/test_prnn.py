@@ -20,7 +20,7 @@ WIDE = QpCoefficients(P=0.0, Q=1.0, u_min=-1e9, u_max=1e9)
 
 
 def _phi_rate(phi, q, vartheta):
-    """Right-hand side of the network ODE, for the RK4 reference."""
+    """Right-hand side of the network ODE, for rest-point checks and the RK4 reference."""
     u = (phi - q.P) / q.Q
     return vartheta * (project(u - phi, (q.u_min, q.u_max)) - u)
 
@@ -70,17 +70,27 @@ def test_project_obtuse_angle_inequality():
         assert (pw - sigma) * (w - pw) >= 0.0
 
 
-def test_equilibria_are_rest_points():
-    # interior optimum (phi* = 0) and saturated optimum (phi* = Q*u_min + P)
-    for q, phi_star, u_star in (
-        (QpCoefficients(P=0.0, Q=2.0, u_min=-1.0, u_max=1.0), 0.0, 0.0),
-        (QpCoefficients(P=3.0, Q=2.0, u_min=-1.0, u_max=1.0), 1.0, -1.0),
-    ):
-        assert equilibrium_phi(q) == pytest.approx(phi_star, abs=1e-14)
-        out = relax(PrnnState.from_phi(equilibrium_phi(q), q), q, PrnnConfig(), 10.0)
-        assert out.state.phi == pytest.approx(phi_star, abs=1e-14)
-        assert out.state.u == pytest.approx(u_star, abs=1e-14)
-        assert out.residual <= 1e-14
+def test_phi_derivative_zero_at_unconstrained_optimum():
+    q = QpCoefficients(P=0.0, Q=2.0, u_min=-1.0, u_max=1.0)
+    assert equilibrium_phi(q) == 0.0
+    assert _phi_rate(0.0, q, 50.0) == 0.0
+    out = relax(PrnnState.from_phi(0.0, q), q, PrnnConfig(vartheta=50.0), 10.0)
+    assert out.state.phi == 0.0
+    assert out.state.u == 0.0
+    assert out.residual <= 1e-14
+
+
+def test_phi_derivative_zero_at_saturated_equilibrium():
+    q = QpCoefficients(P=3.0, Q=2.0, u_min=-1.0, u_max=1.0)
+    phi_star = equilibrium_phi(q)
+    assert phi_star == pytest.approx(1.0, rel=1e-14)  # Q*(-1) + 3
+    s = PrnnState.from_phi(phi_star, q)
+    assert s.u == pytest.approx(-1.0, rel=1e-14)
+    assert _phi_rate(phi_star, q, 50.0) == pytest.approx(0.0, abs=1e-12)
+    out = relax(s, q, PrnnConfig(vartheta=50.0), 10.0)
+    assert out.state.phi == pytest.approx(phi_star, abs=1e-14)
+    assert out.state.u == pytest.approx(-1.0, abs=1e-14)
+    assert out.residual <= 1e-14
 
 
 def test_relax_reaches_interior_optimum():
