@@ -151,15 +151,32 @@ def step(
     t: float,
     dt: float,
 ) -> PlantState:
-    """Advance the plant by one classic RK4 step of size dt.
+    """Advance the plant by one classic RK4 step of size dt; see integrate."""
+    return integrate(params, state, u, disturbance, t, dt, 1)
 
-    u is held constant over the step (zero-order hold); the disturbance is
-    sampled at the RK4 stage times t, t + dt/2 (shared by k2 and k3) and
-    t + dt.  Raises IntegrationBlowupError if the update leaves the finite
-    range.
+
+def integrate(
+    params: PendulumParams,
+    state: PlantState,
+    u: float,
+    disturbance: DisturbanceSpec,
+    t: float,
+    dt: float,
+    steps: int,
+) -> PlantState:
+    """Advance the plant by `steps` classic RK4 steps of size dt from time t.
+
+    u is held constant over all steps (zero-order hold).  Step i starts at
+    t + i*dt; the disturbance is sampled at its RK4 stage times t_i,
+    t_i + dt/2 (shared by k2 and k3) and t_i + dt, except that the
+    time-invariant kinds are sampled once per call.  Raises
+    IntegrationBlowupError, naming the failing step's time, as soon as a step
+    leaves the finite range.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     _check_finite(u=u)
     g, m, l = params.g, params.m, params.l
     m_sum = params.m_c + m
@@ -172,30 +189,37 @@ def step(
         den = l * (4.0 / 3.0 - m * c**2 / m_sum)
         return (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d
 
+    time_varying = disturbance.kind not in ("none", "constant")
+    d_start = d_mid = d_end = 0.0 if time_varying else disturbance_value(disturbance, t)
     x1, x2 = state.x1, state.x2
     h = 0.5 * dt
-    d_start = disturbance_value(disturbance, t)
-    d_mid = disturbance_value(disturbance, t + h)
-    d_end = disturbance_value(disturbance, t + dt)
-    try:
-        k1x, k1v = x2, accel(x1, x2, d_start)
-        k2x = x2 + h * k1v
-        k2v = accel(x1 + h * k1x, k2x, d_mid)
-        k3x = x2 + h * k2v
-        k3v = accel(x1 + h * k2x, k3x, d_mid)
-        k4x = x2 + dt * k3v
-        k4v = accel(x1 + dt * k3x, k4x, d_end)
-    except (OverflowError, ValueError) as err:
-        # stage values left the representable range: x2**2 overflows, or
-        # math.sin/cos meet an infinite angle
-        raise IntegrationBlowupError(
-            f"plant state became non-finite at t={t:.6f}"
-        ) from err
-    nx1 = x1 + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    nx2 = x2 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    if not (math.isfinite(nx1) and math.isfinite(nx2)):
-        raise IntegrationBlowupError(f"plant state became non-finite at t={t + dt:.6f}")
-    return PlantState(nx1, nx2)
+    for i in range(steps):
+        ti = t + i * dt
+        if time_varying:
+            d_start = disturbance_value(disturbance, ti)
+            d_mid = disturbance_value(disturbance, ti + h)
+            d_end = disturbance_value(disturbance, ti + dt)
+        try:
+            k1x, k1v = x2, accel(x1, x2, d_start)
+            k2x = x2 + h * k1v
+            k2v = accel(x1 + h * k1x, k2x, d_mid)
+            k3x = x2 + h * k2v
+            k3v = accel(x1 + h * k2x, k3x, d_mid)
+            k4x = x2 + dt * k3v
+            k4v = accel(x1 + dt * k3x, k4x, d_end)
+        except (OverflowError, ValueError) as err:
+            # stage values left the representable range: x2**2 overflows, or
+            # math.sin/cos meet an infinite angle
+            raise IntegrationBlowupError(
+                f"plant state became non-finite at t={ti:.6f}"
+            ) from err
+        x1, x2 = (
+            x1 + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            x2 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+        )
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise IntegrationBlowupError(f"plant state became non-finite at t={ti + dt:.6f}")
+    return PlantState(x1, x2)
 
 
 def mechanical_energy(params: PendulumParams, state: PlantState) -> float:

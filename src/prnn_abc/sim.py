@@ -176,16 +176,10 @@ def initial_theta(scenario: Scenario) -> np.ndarray:
 
 
 def _integrate_period(scenario: Scenario, state: PlantState, u: float, t: float) -> PlantState:
-    for i in range(scenario.timing.substeps):
-        state = plant.step(
-            scenario.params,
-            state,
-            u,
-            scenario.disturbance,
-            t + i * scenario.timing.plant_dt,
-            scenario.timing.plant_dt,
-        )
-    return state
+    timing = scenario.timing
+    return plant.integrate(
+        scenario.params, state, u, scenario.disturbance, t, timing.plant_dt, timing.substeps
+    )
 
 
 def _abort_reason_for(state: PlantState, t: float) -> str | None:
@@ -549,7 +543,9 @@ def sweep(
     runnable = [(i, sc) for i, (_, sc, _) in enumerate(prepared) if sc is not None]
     outcomes: dict[int, tuple[RunSummary | None, str]] = {}
     if max_workers > 1 and len(runnable) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        # the pool forks all of its workers at the first submit, so never ask
+        # for more than there are cells
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(runnable))) as pool:
             for (i, _), result in zip(runnable, pool.map(_run_cell, [sc for _, sc in runnable])):
                 outcomes[i] = result
     else:

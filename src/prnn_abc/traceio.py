@@ -39,26 +39,23 @@ class TraceFormatError(ValueError):
     """Trace file violates the column or number format contract."""
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _row(r: TraceRecord) -> list[str]:
-    values = [
-        r.t, r.x1, r.x2, r.x1d, r.S1, r.S2, r.u, r.phi, r.A, r.B, r.P, r.Q,
-        r.V2, r.V2_dot_ideal, r.prnn_residual,
-        r.theta_hat[0], r.theta_hat[1], r.theta_hat[2],
-        r.condition_residual,
-    ]
-    return [_fmt(v) for v in values]
+# one row: 17 significant digits per field, CRLF line end, as csv.writer
+# writes format(v, ".17g"); no such field ever needs quoting
+_ROW_FORMAT = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\r\n"
 
 
 def write_trace(path, records: list[TraceRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            writer.writerow(_row(r))
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(
+            _ROW_FORMAT % (
+                r.t, r.x1, r.x2, r.x1d, r.S1, r.S2, r.u, r.phi, r.A, r.B, r.P, r.Q,
+                r.V2, r.V2_dot_ideal, r.prnn_residual,
+                r.theta_hat[0], r.theta_hat[1], r.theta_hat[2],
+                r.condition_residual,
+            )
+            for r in records
+        )
 
 
 def read_trace(path) -> list[TraceRecord]:

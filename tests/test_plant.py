@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import prnn_abc.plant as plant_module
 from prnn_abc.plant import (
     DisturbanceSpec,
     DomainError,
@@ -16,12 +17,20 @@ from prnn_abc.plant import (
     disturbance_value,
     drift_term,
     gain_term,
+    integrate,
     mechanical_energy,
     step,
 )
 
 PARAMS = PendulumParams()
 NO_DIST = DisturbanceSpec()
+# one of each disturbance kind
+SPECS = [
+    NO_DIST,
+    DisturbanceSpec(kind="constant", amplitude=0.4),
+    DisturbanceSpec(kind="sinusoid", amplitude=0.8, frequency=1.3),
+    DisturbanceSpec(kind="bounded-uniform-random", amplitude=0.5, seed=3),
+]
 
 # frozen against a 50-digit evaluation of the closed forms (Table-1 constants)
 A_AT_01_05 = 1.5719695314556947
@@ -228,16 +237,7 @@ def _reference_step(state, u, spec, t, dt):
     )
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        NO_DIST,
-        DisturbanceSpec(kind="constant", amplitude=0.4),
-        DisturbanceSpec(kind="sinusoid", amplitude=0.8, frequency=1.3),
-        DisturbanceSpec(kind="bounded-uniform-random", amplitude=0.5, seed=3),
-    ],
-    ids=lambda spec: spec.kind,
-)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
 def test_step_bit_identical_to_reference_rk4(spec):
     # exact equality pins the fused step to the expression order of
     # drift_term/gain_term; large steps keep a one-ulp stage difference
@@ -249,6 +249,59 @@ def test_step_bit_identical_to_reference_rk4(spec):
         t = rng.uniform(0, 10)
         dt = rng.choice([1e-3, 1e-2, 0.1, 1.0])
         assert step(PARAMS, state, u, spec, t, dt) == _reference_step(state, u, spec, t, dt)
+
+
+@pytest.mark.parametrize("steps", [1, 10, 37])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_integrate_bit_identical_to_step_loop(spec, steps):
+    rng = np.random.default_rng(steps)
+    for _ in range(50):
+        state = PlantState(float(rng.uniform(-1.4, 1.4)), float(rng.uniform(-6, 6)))
+        u = float(rng.uniform(-40, 40))
+        t = float(rng.uniform(0, 10))
+        dt = float(rng.choice([1e-3, 1e-2, 0.05]))
+        expected = state
+        for i in range(steps):
+            expected = step(PARAMS, expected, u, spec, t + i * dt, dt)
+        assert integrate(PARAMS, state, u, spec, t, dt, steps) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, samples", zip(SPECS, [1, 1, 30, 30]), ids=[spec.kind for spec in SPECS]
+)
+def test_integrate_samples_time_invariant_disturbance_once(monkeypatch, spec, samples):
+    # 10 sub-steps: the time-varying kinds are sampled at 3 stage times each
+    calls = []
+    sample = plant_module.disturbance_value
+
+    def counting(spec, t):
+        calls.append(t)
+        return sample(spec, t)
+
+    monkeypatch.setattr(plant_module, "disturbance_value", counting)
+    integrate(PARAMS, PlantState(0.1, 0.0), 1.0, spec, 0.0, 0.001, 10)
+    assert len(calls) == samples
+
+
+def test_integrate_blowup_mid_period_reports_failing_substep_time():
+    # x2**2 overflows in the first stage of sub-step 8 of 10
+    state, t, dt = PlantState(-0.4389668639417583, 61.15905286903185), 0.25, 0.5243606518220018
+    message = f"plant state became non-finite at t={t + 8 * dt:.6f}"
+    probe = state
+    for i in range(8):
+        probe = step(PARAMS, probe, 0.0, NO_DIST, t + i * dt, dt)
+    with pytest.raises(IntegrationBlowupError) as looped:
+        step(PARAMS, probe, 0.0, NO_DIST, t + 8 * dt, dt)
+    with pytest.raises(IntegrationBlowupError) as fused:
+        integrate(PARAMS, state, 0.0, NO_DIST, t, dt, 10)
+    assert str(looped.value) == str(fused.value) == message
+    assert isinstance(fused.value.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_integrate_rejects_fewer_than_one_step(steps):
+    with pytest.raises(ValueError, match="steps"):
+        integrate(PARAMS, PlantState(0.1, 0.0), 0.0, NO_DIST, 0.0, 0.001, steps)
 
 
 def test_disturbance_kinds():

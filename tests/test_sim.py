@@ -306,6 +306,32 @@ def test_sweep_effort_weight_column_monotone():
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(tracks, tracks[1:]))
 
 
+def test_sweep_pool_capped_at_cell_count(monkeypatch):
+    # a stub pool that records its size and maps serially: a real pool would
+    # fork every requested worker
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.1))
+    cells = sweep(base, {"R": [0.1, -1.0, 0.01]}, max_workers=5000)
+    assert sizes == [2]  # the invalid R = -1 cell never reaches the pool
+    assert [c.summary is not None for c in cells] == [True, False, True]
+    assert cells[0].summary == run(apply_grid_point(base, {"R": 0.1}))[1]
+
+
 def test_sweep_grid_order_and_failures():
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
     cells = sweep(base, {"c1": [-1.0, 2.0], "T": [50.0, 100.0]})

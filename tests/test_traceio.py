@@ -1,5 +1,7 @@
 """Trace CSV persistence and internal-consistency checking."""
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -48,6 +50,31 @@ def test_round_trip_bit_exact(tmp_path, short_trace):
     for a, b in zip(short_trace, back):
         # 17 significant digits identify every double uniquely (nan included)
         assert _as_columns(a) == _as_columns(b)
+
+
+def test_write_matches_csv_writer_on_special_values(tmp_path, short_trace):
+    # golden: the writer's bytes equal csv.writer over format(v, ".17g"),
+    # including the CRLF line ends and the spellings of nan, inf and -0
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e300, 0.1]
+    records = []
+    for k in range(len(specials)):
+        v = [specials[(k + j) % len(specials)] for j in range(len(TRACE_COLUMNS))]
+        records.append(
+            replace(
+                short_trace[0],
+                t=v[0], x1=v[1], x2=v[2], x1d=v[3], S1=v[4], S2=v[5], u=v[6], phi=v[7],
+                A=v[8], B=v[9], P=v[10], Q=v[11], V2=v[12], V2_dot_ideal=v[13],
+                prnn_residual=v[14], theta_hat=(v[15], v[16], v[17]),
+                condition_residual=v[18],
+            )
+        )
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(_as_columns(r) for r in records + short_trace)
+    path = tmp_path / "trace.csv"
+    write_trace(path, records + short_trace)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_header_and_column_count(tmp_path, short_trace):
