@@ -150,19 +150,7 @@ def step(
     disturbance: DisturbanceSpec,
     t: float,
     dt: float,
-) -> PlantState:
-    """Advance the plant by one classic RK4 step of size dt; see integrate."""
-    return integrate(params, state, u, disturbance, t, dt, 1)
-
-
-def integrate(
-    params: PendulumParams,
-    state: PlantState,
-    u: float,
-    disturbance: DisturbanceSpec,
-    t: float,
-    dt: float,
-    steps: int,
+    steps: int = 1,
 ) -> PlantState:
     """Advance the plant by `steps` classic RK4 steps of size dt from time t.
 

@@ -177,7 +177,7 @@ def initial_theta(scenario: Scenario) -> np.ndarray:
 
 def _integrate_period(scenario: Scenario, state: PlantState, u: float, t: float) -> PlantState:
     timing = scenario.timing
-    return plant.integrate(
+    return plant.step(
         scenario.params, state, u, scenario.disturbance, t, timing.plant_dt, timing.substeps
     )
 

@@ -394,7 +394,7 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
     d = DisturbanceSpec()
 
     def endpoint(dt: float) -> tuple[float, float]:
-        state = plant.integrate(params, PlantState(0.1, 0.0), 0.0, d, 0.0, dt, round(0.5 / dt))
+        state = plant.step(params, PlantState(0.1, 0.0), 0.0, d, 0.0, dt, round(0.5 / dt))
         return state.x1, state.x2
 
     dts = (0.004, 0.002, 0.001, 0.0005)

@@ -17,7 +17,6 @@ from prnn_abc.plant import (
     disturbance_value,
     drift_term,
     gain_term,
-    integrate,
     mechanical_energy,
     step,
 )
@@ -253,7 +252,7 @@ def test_step_bit_identical_to_reference_rk4(spec):
 
 @pytest.mark.parametrize("steps", [1, 10, 37])
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
-def test_integrate_bit_identical_to_step_loop(spec, steps):
+def test_multi_step_bit_identical_to_step_loop(spec, steps):
     rng = np.random.default_rng(steps)
     for _ in range(50):
         state = PlantState(float(rng.uniform(-1.4, 1.4)), float(rng.uniform(-6, 6)))
@@ -263,13 +262,13 @@ def test_integrate_bit_identical_to_step_loop(spec, steps):
         expected = state
         for i in range(steps):
             expected = step(PARAMS, expected, u, spec, t + i * dt, dt)
-        assert integrate(PARAMS, state, u, spec, t, dt, steps) == expected
+        assert step(PARAMS, state, u, spec, t, dt, steps) == expected
 
 
 @pytest.mark.parametrize(
     "spec, samples", zip(SPECS, [1, 1, 30, 30]), ids=[spec.kind for spec in SPECS]
 )
-def test_integrate_samples_time_invariant_disturbance_once(monkeypatch, spec, samples):
+def test_multi_step_samples_time_invariant_disturbance_once(monkeypatch, spec, samples):
     # 10 sub-steps: the time-varying kinds are sampled at 3 stage times each
     calls = []
     sample = plant_module.disturbance_value
@@ -279,11 +278,11 @@ def test_integrate_samples_time_invariant_disturbance_once(monkeypatch, spec, sa
         return sample(spec, t)
 
     monkeypatch.setattr(plant_module, "disturbance_value", counting)
-    integrate(PARAMS, PlantState(0.1, 0.0), 1.0, spec, 0.0, 0.001, 10)
+    step(PARAMS, PlantState(0.1, 0.0), 1.0, spec, 0.0, 0.001, 10)
     assert len(calls) == samples
 
 
-def test_integrate_blowup_mid_period_reports_failing_substep_time():
+def test_multi_step_blowup_reports_failing_substep_time():
     # x2**2 overflows in the first stage of sub-step 8 of 10
     state, t, dt = PlantState(-0.4389668639417583, 61.15905286903185), 0.25, 0.5243606518220018
     message = f"plant state became non-finite at t={t + 8 * dt:.6f}"
@@ -293,15 +292,15 @@ def test_integrate_blowup_mid_period_reports_failing_substep_time():
     with pytest.raises(IntegrationBlowupError) as looped:
         step(PARAMS, probe, 0.0, NO_DIST, t + 8 * dt, dt)
     with pytest.raises(IntegrationBlowupError) as fused:
-        integrate(PARAMS, state, 0.0, NO_DIST, t, dt, 10)
+        step(PARAMS, state, 0.0, NO_DIST, t, dt, 10)
     assert str(looped.value) == str(fused.value) == message
     assert isinstance(fused.value.__cause__, OverflowError)
 
 
 @pytest.mark.parametrize("steps", [0, -1])
-def test_integrate_rejects_fewer_than_one_step(steps):
+def test_step_rejects_fewer_than_one_step(steps):
     with pytest.raises(ValueError, match="steps"):
-        integrate(PARAMS, PlantState(0.1, 0.0), 0.0, NO_DIST, 0.0, 0.001, steps)
+        step(PARAMS, PlantState(0.1, 0.0), 0.0, NO_DIST, 0.0, 0.001, steps)
 
 
 def test_disturbance_kinds():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import prnn_abc.plant as plant_module
 from prnn_abc import sim
 from prnn_abc.backstepping import Gains, ReferenceSignal
 from prnn_abc.plant import DisturbanceSpec, PlantState
@@ -118,6 +119,25 @@ def test_abort_when_leaving_half_plane():
     assert "pi/2" in summary.abort_reason
     assert "t=" in summary.abort_reason
     assert len(trace) < scenario.timing.control_steps
+
+
+def test_each_period_is_one_plant_step_call(monkeypatch):
+    # the loop integrates a control period with one plant.step call of
+    # `substeps` RK4 steps, through the module attribute, so a wrapper
+    # there sees every plant integration and every blowup
+    scenario = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
+    expected, _ = run(scenario)
+    calls = []
+    original = plant_module.step
+
+    def counting(*args):
+        calls.append(args[6:])
+        return original(*args)
+
+    monkeypatch.setattr(plant_module, "step", counting)
+    trace, _ = run(scenario)
+    assert trace == expected
+    assert calls == [(scenario.timing.substeps,)] * scenario.timing.control_steps
 
 
 def test_exact_baseline_tracks_ideal_v2_rate():
