@@ -15,7 +15,6 @@ from .backstepping import (
     error_coords,
     exact_feedback,
     ideal_v2_dot,
-    lyapunov_v1,
     lyapunov_v2,
     reference_at,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "gain_term",
     "ideal_v2_dot",
     "lyapunov_monitor",
-    "lyapunov_v1",
     "lyapunov_v2",
     "project",
     "reference_at",

@@ -102,10 +102,6 @@ def error_coords(
     return ErrorCoords(s1=s1, s2=s2, gamma1=gamma1)
 
 
-def lyapunov_v1(e: ErrorCoords) -> float:
-    return 0.5 * e.s1**2
-
-
 def lyapunov_v2(e: ErrorCoords) -> float:
     """Composite Lyapunov function V2 = (S1^2 + S2^2) / 2."""
     return 0.5 * e.s1**2 + 0.5 * e.s2**2
@@ -114,11 +110,6 @@ def lyapunov_v2(e: ErrorCoords) -> float:
 def ideal_v2_dot(e: ErrorCoords, gains: Gains) -> float:
     """Closed-loop dV2/dt under the exact unconstrained feedback; always <= 0."""
     return -gains.c1 * e.s1**2 - gains.c2 * e.s2**2
-
-
-def gamma1_rate(e: ErrorCoords, gains: Gains) -> float:
-    """Closed-form d(gamma1)/dt = -c1*S2 + c1^2*S1 (never differenced numerically)."""
-    return -gains.c1 * e.s2 + gains.c1**2 * e.s1
 
 
 def s2_rate(

@@ -4,8 +4,12 @@ Each control period the loop (1) reads the state and forms backstepping
 errors, (2) updates the recursive estimator and assembles the QP
 coefficients (nominal or adaptive), (3) relaxes the projection network over
 the period with frozen coefficients, and (4) applies the projected control
-to the plant through a train of RK4 sub-steps.  Traces carry everything the
-Lyapunov monitors need, so stability claims are checked on logged data.
+to the plant through a train of RK4 sub-steps.  The exact backstepping
+feedback (`run_exact_baseline`) runs in the same loop and differs only in
+how u is chosen: in closed form, without estimator or network, aborting
+where B(x) vanishes.
+Traces carry everything the Lyapunov monitors need, so stability claims are
+checked on logged data.
 """
 
 from __future__ import annotations
@@ -175,13 +179,6 @@ def initial_theta(scenario: Scenario) -> np.ndarray:
     return truth * (1.0 + scenario.rls.theta0_perturbation * rng.uniform(-1.0, 1.0, 3))
 
 
-def _integrate_period(scenario: Scenario, state: PlantState, u: float, t: float) -> PlantState:
-    timing = scenario.timing
-    return plant.step(
-        scenario.params, state, u, scenario.disturbance, t, timing.plant_dt, timing.substeps
-    )
-
-
 def _abort_reason_for(state: PlantState, t: float) -> str | None:
     if not (math.isfinite(state.x1) and math.isfinite(state.x2)):
         return f"non-finite plant state at t={t:.6f}"
@@ -198,22 +195,38 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
     terminate the loop early and are reported through the summary flags
     rather than raised.
     """
+    return _simulate(scenario, exact=False)
+
+
+def run_exact_baseline(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
+    """Simulate the exact unconstrained backstepping feedback.
+
+    Reference trajectory for the optimizer-based controller: u solves the
+    stabilizing condition directly, without bounds or optimization, so the
+    logged V2 must decay at the ideal rate.  Aborts when B(x) degenerates.
+    The scenario's `adaptive` flag is ignored: the law uses the true model.
+    """
+    return _simulate(scenario, exact=True)
+
+
+def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSummary]:
+    """The closed loop shared by both control laws; `exact` selects how u is chosen."""
     sc = scenario
-    period = sc.timing.control_period
+    timing = sc.timing
+    period = timing.control_period
+    adaptive = sc.adaptive and not exact
     state = sc.initial
-    phi = 0.0  # warm-started network state, carried across periods
+    phi = 0.0  # warm-started network state, carried across periods; 0 under the exact law
     records: list[TraceRecord] = []
     aborted = False
     reason = ""
     nonphysical = False
 
-    rls_state = None
+    rls_state = rls.initial_state(initial_theta(sc), sc.rls.m0_scale) if adaptive else None
     est: rls.EstimatedPhysical | None = None
     prev: tuple[PlantState, float] | None = None  # state and applied u, one period ago
-    if sc.adaptive:
-        rls_state = rls.initial_state(initial_theta(sc), sc.rls.m0_scale)
 
-    for k in range(sc.timing.control_steps):
+    for k in range(timing.control_steps):
         t = k * period
         bad = _abort_reason_for(state, t)
         if bad is not None:
@@ -224,8 +237,11 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
         e = error_coords(state, refs, sc.gains)
         a = plant.drift_term(sc.params, state)
         b = plant.gain_term(sc.params, state)
+        if exact and abs(b) < 1e-9:
+            aborted, reason = True, f"input gain B ~ 0 at t={t:.6f}; exact feedback undefined"
+            break
 
-        if sc.adaptive and prev is not None:
+        if adaptive and prev is not None:
             prev_state, prev_u = prev
             x2dot = (state.x2 - prev_state.x2) / period
             # the backward difference approximates the mid-interval derivative,
@@ -237,32 +253,36 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
             if float(np.linalg.norm(pi)) >= sc.rls.excitation_gate:
                 rls_state = rls.update(rls_state, pi, x2dot)
 
-        if sc.adaptive and k >= sc.rls.warmup_steps:
+        if adaptive and k >= sc.rls.warmup_steps:
             try:
                 est = rls.extract_physical(rls_state.theta_hat)
             except rls.NotYetIdentifiableError:
                 pass  # keep the last valid estimate, nominal if none yet
             if est is not None and not est.physical():
                 nonphysical = True
-            if est is not None:
-                coeffs = rls.adaptive_coefficients(
-                    est, state, e, refs[2], sc.gains, sc.weights, sc.bounds, sc.params
-                )
-            else:
-                coeffs = qp.assemble(a, b, e, refs[2], sc.gains, sc.weights, sc.bounds)
+        # est is only ever set from the warm-up step on, and then kept
+        if est is not None:
+            coeffs = rls.adaptive_coefficients(
+                est, state, e, refs[2], sc.gains, sc.weights, sc.bounds, sc.params
+            )
         else:
             coeffs = qp.assemble(a, b, e, refs[2], sc.gains, sc.weights, sc.bounds)
 
-        try:
-            relaxed = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, sc.prnn, period)
-        except prnn.IntegrationDivergedError as err:
-            aborted, reason = True, f"{err} at t={t:.6f}"
-            break
-        phi = relaxed.state.phi
-        # final safety clamp: the actuator constraint holds even mid-transient
-        u = prnn.project(relaxed.state.u, sc.bounds)
+        if exact:
+            u = exact_feedback(a, b, refs[2], e, sc.gains)
+            residual = 0.0
+        else:
+            try:
+                relaxed = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, sc.prnn, period)
+            except prnn.IntegrationDivergedError as err:
+                aborted, reason = True, f"{err} at t={t:.6f}"
+                break
+            phi = relaxed.state.phi
+            # final safety clamp: the actuator constraint holds even mid-transient
+            u = prnn.project(relaxed.state.u, sc.bounds)
+            residual = relaxed.residual
 
-        theta_logged = tuple(float(v) for v in rls_state.theta_hat) if sc.adaptive else _NO_THETA
+        theta_logged = tuple(float(v) for v in rls_state.theta_hat) if adaptive else _NO_THETA
         records.append(
             TraceRecord(
                 t=t,
@@ -279,7 +299,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
                 Q=coeffs.Q,
                 V2=lyapunov_v2(e),
                 V2_dot_ideal=ideal_v2_dot(e, sc.gains),
-                prnn_residual=relaxed.residual,
+                prnn_residual=residual,
                 theta_hat=theta_logged,
                 condition_residual=sc.weights.R / coeffs.Q,
             )
@@ -287,76 +307,15 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
 
         prev = (state, u)
         try:
-            state = _integrate_period(sc, state, u, t)
-        except IntegrationBlowupError as err:
-            aborted, reason = True, str(err)
-            break
-
-    theta_final = rls_state.theta_hat if sc.adaptive and rls_state is not None else None
-    summary = _summarize(records, sc, aborted, reason, nonphysical, theta_final)
-    return records, summary
-
-
-def run_exact_baseline(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
-    """Simulate the exact unconstrained backstepping feedback.
-
-    Reference trajectory for the optimizer-based controller: u solves the
-    stabilizing condition directly, without bounds or optimization, so the
-    logged V2 must decay at the ideal rate.  Aborts when B(x) degenerates.
-    """
-    sc = scenario
-    period = sc.timing.control_period
-    state = sc.initial
-    records: list[TraceRecord] = []
-    aborted = False
-    reason = ""
-
-    for k in range(sc.timing.control_steps):
-        t = k * period
-        bad = _abort_reason_for(state, t)
-        if bad is not None:
-            aborted, reason = True, bad
-            break
-
-        refs = reference_at(sc.reference, t)
-        e = error_coords(state, refs, sc.gains)
-        a = plant.drift_term(sc.params, state)
-        b = plant.gain_term(sc.params, state)
-        if abs(b) < 1e-9:
-            aborted, reason = True, f"input gain B ~ 0 at t={t:.6f}; exact feedback undefined"
-            break
-        u = exact_feedback(a, b, refs[2], e, sc.gains)
-        coeffs = qp.assemble(a, b, e, refs[2], sc.gains, sc.weights, sc.bounds)
-
-        records.append(
-            TraceRecord(
-                t=t,
-                x1=state.x1,
-                x2=state.x2,
-                x1d=refs[0],
-                S1=e.s1,
-                S2=e.s2,
-                u=u,
-                phi=0.0,
-                A=a,
-                B=b,
-                P=coeffs.P,
-                Q=coeffs.Q,
-                V2=lyapunov_v2(e),
-                V2_dot_ideal=ideal_v2_dot(e, sc.gains),
-                prnn_residual=0.0,
-                theta_hat=_NO_THETA,
-                condition_residual=sc.weights.R / coeffs.Q,
+            state = plant.step(
+                sc.params, state, u, sc.disturbance, t, timing.plant_dt, timing.substeps
             )
-        )
-
-        try:
-            state = _integrate_period(sc, state, u, t)
         except IntegrationBlowupError as err:
             aborted, reason = True, str(err)
             break
 
-    summary = _summarize(records, sc, aborted, reason, False, None)
+    theta_final = rls_state.theta_hat if adaptive else None
+    summary = _summarize(records, sc, aborted, reason, nonphysical, theta_final)
     return records, summary
 
 

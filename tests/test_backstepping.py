@@ -11,9 +11,7 @@ from prnn_abc.backstepping import (
     ReferenceSignal,
     error_coords,
     exact_feedback,
-    gamma1_rate,
     ideal_v2_dot,
-    lyapunov_v1,
     lyapunov_v2,
     reference_at,
     s2_rate,
@@ -138,7 +136,6 @@ def test_lyapunov_values():
     assert lyapunov_v2(ErrorCoords(0.0, 0.0, 0.0)) == 0.0
     assert lyapunov_v2(ErrorCoords(1.0, 1.0, 0.0)) == 1.0
     assert lyapunov_v2(ErrorCoords(0.3, -0.4, 0.0)) == pytest.approx(0.125, rel=1e-15)
-    assert lyapunov_v1(ErrorCoords(0.3, -0.4, 0.0)) == pytest.approx(0.045, rel=1e-15)
 
 
 def test_ideal_v2_dot_values():
@@ -153,12 +150,6 @@ def test_ideal_v2_dot_never_positive():
     for _ in range(200):
         e = ErrorCoords(rng.uniform(-5, 5), rng.uniform(-5, 5), 0.0)
         assert ideal_v2_dot(e, gains) <= 0.0
-
-
-def test_gamma1_rate_matches_definition():
-    gains = Gains(c1=2.0, c2=1.0)
-    e = ErrorCoords(s1=0.3, s2=-0.2, gamma1=-0.6)
-    assert gamma1_rate(e, gains) == -2.0 * (-0.2) + 4.0 * 0.3
 
 
 def test_exact_feedback_cancels_to_ideal_rate():

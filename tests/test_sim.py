@@ -121,12 +121,13 @@ def test_abort_when_leaving_half_plane():
     assert len(trace) < scenario.timing.control_steps
 
 
-def test_each_period_is_one_plant_step_call(monkeypatch):
+@pytest.mark.parametrize("law", [run, run_exact_baseline], ids=["run", "run_exact_baseline"])
+def test_each_period_is_one_plant_step_call(monkeypatch, law):
     # the loop integrates a control period with one plant.step call of
     # `substeps` RK4 steps, through the module attribute, so a wrapper
     # there sees every plant integration and every blowup
     scenario = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
-    expected, _ = run(scenario)
+    expected, _ = law(scenario)
     calls = []
     original = plant_module.step
 
@@ -135,7 +136,7 @@ def test_each_period_is_one_plant_step_call(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(plant_module, "step", counting)
-    trace, _ = run(scenario)
+    trace, _ = law(scenario)
     assert trace == expected
     assert calls == [(scenario.timing.substeps,)] * scenario.timing.control_steps
 
@@ -184,6 +185,27 @@ def test_exact_baseline_on_reference_stays():
     scenario = replace(STABILIZE, initial=PlantState(0.0, 0.0))
     trace, summary = run_exact_baseline(scenario)
     assert summary.max_abs_s1 < 1e-9
+
+
+def test_exact_baseline_aborts_when_input_gain_vanishes():
+    # B(x) = 0 at x1 = pi/2; just inside the half-plane |B| < 1e-9
+    scenario = replace(STABILIZE, initial=PlantState(math.pi / 2 - 1e-12, 0.0))
+    trace, summary = run_exact_baseline(scenario)
+    assert trace == []
+    assert summary.aborted
+    assert "exact feedback undefined" in summary.abort_reason
+    assert "t=0.000000" in summary.abort_reason
+
+
+def test_exact_baseline_ignores_adaptive_flag():
+    nominal = replace(sinusoid_scenario(), seed=3, timing=Timing(0.001, 0.01, 1.0))
+    trace_a, summary_a = run_exact_baseline(replace(nominal, adaptive=True))
+    trace_n, summary_n = run_exact_baseline(nominal)
+    assert repr(trace_a) == repr(trace_n)  # repr: the theta columns hold NaN
+    assert repr(summary_a) == repr(summary_n)
+    assert all(math.isnan(v) for r in trace_a for v in r.theta_hat)
+    assert math.isnan(summary_a.final_theta_error)
+    assert not summary_a.nonphysical_estimate
 
 
 def test_monitor_clean_on_baseline_and_prnn():
