@@ -54,7 +54,8 @@ class ReferenceSignal:
             raise ValueError(f"unknown reference kind {self.kind!r}")
         if self.kind == "sinusoid" and not self.frequency > 0:
             raise ValueError("sinusoid reference needs frequency > 0")
-        if self.kind == "smoothstep" and not self.ramp_time > 0:
+        # ramp_time**2 divides the second derivative, so it must not underflow either
+        if self.kind == "smoothstep" and not (self.ramp_time > 0 and self.ramp_time**2 > 0):
             raise ValueError("smoothstep reference needs ramp_time > 0")
 
 

@@ -76,7 +76,7 @@ def update(s: RlsState, pi: np.ndarray, y: float) -> RlsState:
     denom = 1.0 + float(pi @ s.M @ pi)
     if not denom > 0.0:
         raise FloatingPointError(
-            f"1 + Pi'M Pi = {denom!r} is not positive; M has lost positive definiteness"
+            f"1 + Pi'M Pi = {denom!r} is not positive; covariance M has lost positive definiteness"
         )
     gain = (s.M @ pi) / denom
     err = y - float(pi @ s.theta_hat)

@@ -55,6 +55,8 @@ class Timing:
         ratio = self.control_period / self.plant_dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("control_period must be an integer multiple of plant_dt")
+        if self.control_steps < 1:
+            raise ValueError("duration must round to at least one control period")
 
     @property
     def substeps(self) -> int:
@@ -86,7 +88,11 @@ class RlsOptions:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one closed-loop experiment."""
+    """Complete description of one closed-loop experiment.
+
+    Fields and section fields are declared in scenario-file order and carry
+    their file key names, so `config` derives parse and dump from them.
+    """
 
     params: PendulumParams = field(default_factory=PendulumParams)
     initial: PlantState = field(default_factory=lambda: PlantState(0.1, 0.0))
@@ -95,10 +101,10 @@ class Scenario:
     gains: Gains = field(default_factory=Gains)
     weights: Weights = field(default_factory=Weights)
     bounds: tuple[float, float] = (-30.0, 30.0)
-    prnn: PrnnConfig = field(default_factory=PrnnConfig)
     timing: Timing = field(default_factory=Timing)
-    adaptive: bool = False
+    prnn: PrnnConfig = field(default_factory=PrnnConfig)
     rls: RlsOptions = field(default_factory=RlsOptions)
+    adaptive: bool = False
     seed: int = 0
     settle_tol: float = 0.01
 
@@ -109,6 +115,55 @@ class Scenario:
             raise ValueError("settle_tol > 0 required")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries
+_OPEN_KEYS = ("bounds.u_min", "bounds.u_max")  # +-inf here leaves that side of the box open
+
+
+def checked_value(path: str, value, like):
+    """`value` for the scenario key at `path`, typed like that key's default `like`.
+
+    The one value rule of scenario files and sweep grids; a ValueError names
+    the key path.  Numbers must be finite and not NaN, except that the bounds
+    may be +-inf.  Integer keys take integral numbers, so a grid's 3.0 is 3.
+    """
+    if isinstance(like, (bool, str)):
+        if not isinstance(value, type(like)):
+            want = "true/false" if isinstance(like, bool) else "a string"
+            raise ValueError(f"key '{path}' must be {want}, got {value!r}")
+        return value
+    want = "an integer" if isinstance(like, int) else "a number"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(like, int) and isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValueError(f"key '{path}' must be {want}, got {value!r}")
+    if isinstance(like, int):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"key '{path}' must be finite, got {value!r}") from None
+    if math.isnan(number) or (math.isinf(number) and path not in _OPEN_KEYS):
+        want = "a number" if path in _OPEN_KEYS else "finite"
+        raise ValueError(f"key '{path}' must be {want}, got {number!r}")
+    return number
+
+
+def _replace_key(s: Scenario, path: str, value) -> Scenario:
+    """`s` with the key at file path `path` (`gains.c1`, `seed`) set to `value`."""
+    section, _, key = path.rpartition(".")
+    if section == "bounds":
+        bounds = list(s.bounds)
+        bounds[BOUND_KEYS.index(key)] = checked_value(path, value, 0.0)
+        return replace(s, bounds=tuple(bounds))
+    if not section:
+        return replace(s, **{key: checked_value(path, value, getattr(Scenario(), key))})
+    like = getattr(getattr(Scenario(), section), key)
+    node = replace(getattr(s, section), **{key: checked_value(path, value, like)})
+    return replace(s, **{section: node})
 
 
 def default_scenario() -> Scenario:
@@ -191,9 +246,9 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
     """Simulate the projection-network controller over the full duration.
 
     Returns the per-control-step trace and a summary.  Aborts (angle leaving
-    the controllable half-plane, plant blowup, non-finite network state)
-    terminate the loop early and are reported through the summary flags
-    rather than raised.
+    the controllable half-plane, plant blowup, non-finite network state,
+    estimator covariance loss) terminate the loop early and are reported
+    through the summary flags rather than raised.
     """
     return _simulate(scenario, exact=False)
 
@@ -233,85 +288,88 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
             aborted, reason = True, bad
             break
 
-        refs = reference_at(sc.reference, t)
-        e = error_coords(state, refs, sc.gains)
-        a = plant.drift_term(sc.params, state)
-        b = plant.gain_term(sc.params, state)
-        if exact and abs(b) < 1e-9:
-            aborted, reason = True, f"input gain B ~ 0 at t={t:.6f}; exact feedback undefined"
-            break
-
-        if adaptive and prev is not None:
-            prev_state, prev_u = prev
-            x2dot = (state.x2 - prev_state.x2) / period
-            # the backward difference approximates the mid-interval derivative,
-            # so the regressor is sampled at the mid-interval state as well
-            mid = PlantState(
-                0.5 * (state.x1 + prev_state.x1), 0.5 * (state.x2 + prev_state.x2)
-            )
-            pi = rls.regressor(mid, x2dot, prev_u, sc.params.g)
-            if float(np.linalg.norm(pi)) >= sc.rls.excitation_gate:
-                rls_state = rls.update(rls_state, pi, x2dot)
-
-        if adaptive and k >= sc.rls.warmup_steps:
-            try:
-                est = rls.extract_physical(rls_state.theta_hat)
-            except rls.NotYetIdentifiableError:
-                pass  # keep the last valid estimate, nominal if none yet
-            if est is not None and not est.physical():
-                nonphysical = True
-        # est is only ever set from the warm-up step on, and then kept
-        if est is not None:
-            coeffs = rls.adaptive_coefficients(
-                est, state, e, refs[2], sc.gains, sc.weights, sc.bounds, sc.params
-            )
-        else:
-            coeffs = qp.assemble(a, b, e, refs[2], sc.gains, sc.weights, sc.bounds)
-
-        if exact:
-            u = exact_feedback(a, b, refs[2], e, sc.gains)
-            residual = 0.0
-        else:
-            try:
-                relaxed = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, sc.prnn, period)
-            except prnn.IntegrationDivergedError as err:
-                aborted, reason = True, f"{err} at t={t:.6f}"
-                break
-            phi = relaxed.state.phi
-            # final safety clamp: the actuator constraint holds even mid-transient
-            u = prnn.project(relaxed.state.u, sc.bounds)
-            residual = relaxed.residual
-
-        theta_logged = tuple(float(v) for v in rls_state.theta_hat) if adaptive else _NO_THETA
-        records.append(
-            TraceRecord(
-                t=t,
-                x1=state.x1,
-                x2=state.x2,
-                x1d=refs[0],
-                S1=e.s1,
-                S2=e.s2,
-                u=u,
-                phi=phi,
-                A=a,
-                B=b,
-                P=coeffs.P,
-                Q=coeffs.Q,
-                V2=lyapunov_v2(e),
-                V2_dot_ideal=ideal_v2_dot(e, sc.gains),
-                prnn_residual=residual,
-                theta_hat=theta_logged,
-                condition_residual=sc.weights.R / coeffs.Q,
-            )
-        )
-
-        prev = (state, u)
         try:
+            refs = reference_at(sc.reference, t)
+            e = error_coords(state, refs, sc.gains)
+            a = plant.drift_term(sc.params, state)
+            b = plant.gain_term(sc.params, state)
+            if exact and abs(b) < 1e-9:
+                aborted, reason = True, f"input gain B ~ 0 at t={t:.6f}; exact feedback undefined"
+                break
+
+            if adaptive and prev is not None:
+                prev_state, prev_u = prev
+                x2dot = (state.x2 - prev_state.x2) / period
+                # the backward difference approximates the mid-interval derivative,
+                # so the regressor is sampled at the mid-interval state as well
+                mid = PlantState(
+                    0.5 * (state.x1 + prev_state.x1), 0.5 * (state.x2 + prev_state.x2)
+                )
+                pi = rls.regressor(mid, x2dot, prev_u, sc.params.g)
+                if float(np.linalg.norm(pi)) >= sc.rls.excitation_gate:
+                    rls_state = rls.update(rls_state, pi, x2dot)
+
+            if adaptive and k >= sc.rls.warmup_steps:
+                try:
+                    est = rls.extract_physical(rls_state.theta_hat)
+                except rls.NotYetIdentifiableError:
+                    pass  # keep the last valid estimate, nominal if none yet
+                if est is not None and not est.physical():
+                    nonphysical = True
+            # est is only ever set from the warm-up step on, and then kept
+            if est is not None:
+                coeffs = rls.adaptive_coefficients(
+                    est, state, e, refs[2], sc.gains, sc.weights, sc.bounds, sc.params
+                )
+            else:
+                coeffs = qp.assemble(a, b, e, refs[2], sc.gains, sc.weights, sc.bounds)
+
+            if exact:
+                u = exact_feedback(a, b, refs[2], e, sc.gains)
+                residual = 0.0
+            else:
+                relaxed = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, sc.prnn, period)
+                phi = relaxed.state.phi
+                # final safety clamp: the actuator constraint holds even mid-transient
+                u = prnn.project(relaxed.state.u, sc.bounds)
+                residual = relaxed.residual
+
+            theta_logged = tuple(float(v) for v in rls_state.theta_hat) if adaptive else _NO_THETA
+            records.append(
+                TraceRecord(
+                    t=t,
+                    x1=state.x1,
+                    x2=state.x2,
+                    x1d=refs[0],
+                    S1=e.s1,
+                    S2=e.s2,
+                    u=u,
+                    phi=phi,
+                    A=a,
+                    B=b,
+                    P=coeffs.P,
+                    Q=coeffs.Q,
+                    V2=lyapunov_v2(e),
+                    V2_dot_ideal=ideal_v2_dot(e, sc.gains),
+                    prnn_residual=residual,
+                    theta_hat=theta_logged,
+                    condition_residual=sc.weights.R / coeffs.Q,
+                )
+            )
+
+            prev = (state, u)
             state = plant.step(
                 sc.params, state, u, sc.disturbance, t, timing.plant_dt, timing.substeps
             )
         except IntegrationBlowupError as err:
             aborted, reason = True, str(err)
+            break
+        except (FloatingPointError, prnn.IntegrationDivergedError) as err:
+            # the estimator covariance lost definiteness, or the network state diverged
+            aborted, reason = True, f"{err} at t={t:.6f}"
+            break
+        except ArithmeticError as err:  # e.g. x2**2 overflowing at an extreme finite state
+            aborted, reason = True, f"{type(err).__name__} {err} at t={t:.6f}"
             break
 
     theta_final = rls_state.theta_hat if adaptive else None
@@ -417,50 +475,32 @@ def lyapunov_monitor(trace: list[TraceRecord], tol: float | None = None) -> list
     return out
 
 
-def _set_c1(s: Scenario, v: float) -> Scenario:
-    return replace(s, gains=Gains(c1=v, c2=s.gains.c2))
-
-
-def _set_c2(s: Scenario, v: float) -> Scenario:
-    return replace(s, gains=Gains(c1=s.gains.c1, c2=v))
-
-
-def _set_t(s: Scenario, v: float) -> Scenario:
-    return replace(s, weights=Weights(T=v, R=s.weights.R))
-
-
-def _set_r(s: Scenario, v: float) -> Scenario:
-    return replace(s, weights=Weights(T=s.weights.T, R=v))
-
-
-def _set_vartheta(s: Scenario, v: float) -> Scenario:
-    return replace(s, prnn=replace(s.prnn, vartheta=v))
-
-
-GRID_SETTERS = {
-    "c1": _set_c1,
-    "c2": _set_c2,
-    "T": _set_t,
-    "R": _set_r,
-    "vartheta": _set_vartheta,
-    "u_min": lambda s, v: replace(s, bounds=(v, s.bounds[1])),
-    "u_max": lambda s, v: replace(s, bounds=(s.bounds[0], v)),
-    "bound": lambda s, v: replace(s, bounds=(-abs(v), abs(v))),
-    "duration": lambda s, v: replace(s, timing=replace(s.timing, duration=v)),
-    "seed": lambda s, v: replace(s, seed=int(v)),
+# sweep axis name -> scenario file key path; `bound` sets -|v| <= u <= |v| at once
+GRID_KEYS = {
+    "c1": "gains.c1",
+    "c2": "gains.c2",
+    "T": "weights.T",
+    "R": "weights.R",
+    "vartheta": "prnn.vartheta",
+    "u_min": "bounds.u_min",
+    "u_max": "bounds.u_max",
+    "duration": "timing.duration",
+    "seed": "seed",
 }
 
 
 def apply_grid_point(base: Scenario, coords: dict[str, float]) -> Scenario:
     scenario = base
     for key, value in coords.items():
-        try:
-            setter = GRID_SETTERS[key]
-        except KeyError:
+        if key == "bound":
+            v = abs(checked_value("bounds.u_max", value, 0.0))
+            scenario = replace(scenario, bounds=(-v, v))
+        elif key in GRID_KEYS:
+            scenario = _replace_key(scenario, GRID_KEYS[key], value)
+        else:
             raise ValueError(
-                f"unknown sweep parameter {key!r}; supported: {sorted(GRID_SETTERS)}"
-            ) from None
-        scenario = setter(scenario, value)
+                f"unknown sweep parameter {key!r}; supported: {sorted([*GRID_KEYS, 'bound'])}"
+            )
     return scenario
 
 

@@ -86,6 +86,13 @@ def test_reference_validation():
         ReferenceSignal(kind="smoothstep", ramp_time=0.0)
 
 
+def test_smoothstep_ramp_whose_square_underflows_rejected():
+    # ramp_time**2 divides the second derivative; at 1e-200 it is 0.0
+    with pytest.raises(ValueError, match="ramp_time > 0"):
+        ReferenceSignal(kind="smoothstep", ramp_time=1e-200)
+    ReferenceSignal(kind="smoothstep", ramp_time=1e-150)
+
+
 def test_error_coords_examples():
     gains = Gains(c1=2.0, c2=2.0)
     e = error_coords(PlantState(0.2, 0.0), (0.1, 0.0, 0.0), gains)

@@ -175,3 +175,82 @@ def test_sweep_thread_env(tmp_path, quick_config, monkeypatch):
                  "--out", str(out)]) == 0
     with open(out / "sweep.csv", encoding="utf-8") as fh:
         assert len(list(csv.DictReader(fh))) == 2
+
+
+# each of these used to end in a traceback, a clean-looking exit-0 trace, or
+# an abort at t=0 instead of a config error naming the key
+LOUD_FAILURES = [
+    ("timing.duration", "timing: {duration: .inf}"),
+    ("rls.m0_scale", "adaptive: true\nrls: {m0_scale: .inf}"),
+    ("rls.theta0[0]", "rls: {theta0: [.nan, 1, 1]}"),
+    ("rls.theta0[0]", "rls: {theta0: [true, 1, 1]}"),
+    ("rls.theta0_perturbation", "rls: {theta0_perturbation: .nan}"),
+    ("rls.excitation_gate", "rls: {excitation_gate: .nan}"),
+    ("weights.T", "weights: {T: .inf}"),
+    ("weights.R", "weights: {R: .inf}"),
+    ("params.g", "params: {g: .inf}"),
+    ("gains.c1", "gains: {c1: .inf}"),
+    ("reference.setpoint", "reference: {setpoint: .nan}"),
+    ("reference.amplitude", "reference: {amplitude: .nan}"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, text", LOUD_FAILURES, ids=[t.replace("\n", " ") for _, t in LOUD_FAILURES]
+)
+def test_simulate_bad_value_is_config_error_naming_key(tmp_path, capsys, path, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: key '{path}' must be")
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_open_bounds_run_cleanly(tmp_path, capsys):
+    path = tmp_path / "open.yaml"
+    path.write_text("bounds: {u_min: -.inf, u_max: .inf}\ntiming: {duration: 0.5}\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["validate", str(out / "trace.csv")]) == 0
+    assert "u_min: -.inf" in (out / "scenario.yaml").read_text()
+
+
+def test_simulate_covariance_loss_is_an_abort(tmp_path, capsys):
+    # a huge initial covariance loses positive definiteness in the first updates
+    path = tmp_path / "m0.yaml"
+    path.write_text(
+        "initial: {x1: 0.0, x2: 0.0}\n"
+        "reference: {kind: sinusoid, amplitude: 0.5, frequency: 0.5}\n"
+        "timing: {duration: 1.0}\nadaptive: true\nrls: {m0_scale: 1.0e+12}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] is True
+    assert "covariance M has lost positive definiteness at t=" in summary["abort_reason"]
+    assert "run aborted:" in capsys.readouterr().err
+
+
+def _sweep_rows(tmp_path, config, *grid):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(config), "--out", str(out)]
+    for spec in grid:
+        argv += ["--grid", spec]
+    assert main(argv) == 0
+    with open(out / "sweep.csv", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_non_integral_seed_is_cell_error(tmp_path, quick_config):
+    rows = _sweep_rows(tmp_path, quick_config, "seed=1.5,3")
+    assert rows[0]["status"] == "ValueError: key 'seed' must be an integer, got 1.5"
+    assert rows[1]["status"] == "ok"
+
+
+def test_sweep_infinite_gain_is_cell_error(tmp_path, quick_config):
+    rows = _sweep_rows(tmp_path, quick_config, "c1=inf,2")
+    assert rows[0]["status"] == "ValueError: key 'gains.c1' must be finite, got inf"
+    assert rows[1]["status"] == "ok"

@@ -124,3 +124,154 @@ def test_negative_disturbance_seed_rejected():
 def test_negative_top_level_seed_rejected():
     with pytest.raises(ConfigError, match=r"^seed must be >= 0"):
         parse_scenario({"seed": -1, "adaptive": True})
+
+
+DEFAULT_YAML = """\
+params:
+  g: 9.8
+  m_c: 1.0
+  m: 0.1
+  l: 0.5
+initial:
+  x1: 0.1
+  x2: 0.0
+reference:
+  kind: smoothstep
+  setpoint: 0.0
+  amplitude: 0.0
+  frequency: 0.0
+  ramp_time: 2.0
+  start: 0.1
+disturbance:
+  kind: none
+  amplitude: 0.0
+  frequency: 0.0
+  seed: 0
+gains:
+  c1: 2.0
+  c2: 2.0
+weights:
+  T: 100.0
+  R: 0.01
+bounds:
+  u_min: -30.0
+  u_max: 30.0
+timing:
+  plant_dt: 0.001
+  control_period: 0.01
+  duration: 5.0
+prnn:
+  vartheta: 50.0
+rls:
+  theta0_perturbation: 0.3
+  m0_scale: 100.0
+  warmup_steps: 50
+  excitation_gate: 1.0e-08
+adaptive: false
+seed: 0
+settle_tol: 0.01
+"""
+
+SINUSOID_YAML = """\
+params:
+  g: 9.8
+  m_c: 1.0
+  m: 0.1
+  l: 0.5
+initial:
+  x1: 0.0
+  x2: 0.0
+reference:
+  kind: sinusoid
+  setpoint: 0.0
+  amplitude: 0.5
+  frequency: 0.5
+  ramp_time: 0.0
+  start: 0.0
+disturbance:
+  kind: none
+  amplitude: 0.0
+  frequency: 0.0
+  seed: 0
+gains:
+  c1: 2.0
+  c2: 2.0
+weights:
+  T: 100.0
+  R: 0.01
+bounds:
+  u_min: -30.0
+  u_max: 30.0
+timing:
+  plant_dt: 0.001
+  control_period: 0.01
+  duration: 5.0
+prnn:
+  vartheta: 50.0
+rls:
+  theta0_perturbation: 0.3
+  m0_scale: 100.0
+  warmup_steps: 50
+  excitation_gate: 1.0e-08
+adaptive: false
+seed: 0
+settle_tol: 0.01
+"""
+
+
+def test_dump_of_bundled_scenarios_is_pinned():
+    # scenario.yaml follows the Scenario field order; a reorder must show here
+    assert dumps_scenario(default_scenario()) == DEFAULT_YAML
+    assert dumps_scenario(sinusoid_scenario()) == SINUSOID_YAML
+
+
+def test_empty_tree_is_default_scenario():
+    assert parse_scenario({}) == Scenario()
+    assert parse_scenario(None) == Scenario()
+
+
+def test_explicit_theta0_dumps_last_in_rls():
+    sc = parse_scenario({"rls": {"theta0": [0.1, 2, 1.7]}})
+    assert sc.rls.theta0 == (0.1, 2.0, 1.7)
+    assert list(scenario_to_dict(sc)["rls"].items())[-1] == ("theta0", [0.1, 2.0, 1.7])
+    assert "theta0" not in scenario_to_dict(Scenario())["rls"]
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("prnn.vartheta", float("inf")),
+        ("settle_tol", float("inf")),
+        ("reference.ramp_time", float("inf")),
+        ("initial.x1", float("-inf")),
+        ("bounds.u_min", float("nan")),
+        ("bounds.u_max", float("nan")),
+        ("params.l", 10**400),
+    ],
+)
+def test_non_finite_value_names_its_key(path, value):
+    section, _, key = path.rpartition(".")
+    tree = {section: {key: value}} if section else {key: value}
+    with pytest.raises(ConfigError, match=rf"^key '{path}' must be"):
+        parse_scenario(tree)
+
+
+def test_infinite_bounds_leave_the_box_open():
+    sc = parse_scenario({"bounds": {"u_min": float("-inf"), "u_max": float("inf")}})
+    assert sc.bounds == (float("-inf"), float("inf"))
+    assert parse_scenario(yaml.safe_load(dumps_scenario(sc))) == sc
+
+
+def test_integer_keys_take_integral_numbers():
+    sc = parse_scenario({"seed": 3.0, "rls": {"warmup_steps": 10.0}})
+    assert (sc.seed, sc.rls.warmup_steps) == (3, 10)
+    assert isinstance(sc.seed, int) and isinstance(sc.rls.warmup_steps, int)
+    with pytest.raises(ConfigError, match=r"key 'rls.warmup_steps' must be an integer"):
+        parse_scenario({"rls": {"warmup_steps": 2.5}})
+
+
+def test_theta0_entry_named_by_index():
+    with pytest.raises(ConfigError, match=r"key 'rls.theta0\[2\]' must be finite"):
+        parse_scenario({"rls": {"theta0": [1.0, 2.0, float("inf")]}})
+    with pytest.raises(ConfigError, match=r"key 'rls.theta0\[1\]' must be a number"):
+        parse_scenario({"rls": {"theta0": [1.0, "2", 3.0]}})

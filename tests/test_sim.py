@@ -278,6 +278,16 @@ def test_network_divergence_aborts(monkeypatch):
     assert len(trace) == 10
 
 
+def test_overflow_at_extreme_finite_state_aborts():
+    # x2**2 in the model terms overflows before any plant step runs
+    scenario = replace(STABILIZE, initial=PlantState(0.0, 1e160))
+    trace, summary = run(scenario)
+    assert summary.aborted
+    assert summary.abort_reason.startswith("OverflowError")
+    assert summary.abort_reason.endswith("at t=0.000000")
+    assert trace == []
+
+
 def test_timescale_consistency_under_faster_network():
     # a 10x faster network must not change the closed loop materially (the
     # optimizer is already quasi-static)
@@ -424,3 +434,29 @@ def test_sweep_rejects_empty_grid():
 def test_apply_grid_point_unknown_key():
     with pytest.raises(ValueError, match="unknown sweep parameter"):
         apply_grid_point(STABILIZE, {"mass": 2.0})
+
+
+@pytest.mark.parametrize("name", sorted(sim.GRID_KEYS))
+def test_grid_axis_sets_its_key_path(name):
+    section, _, key = sim.GRID_KEYS[name].rpartition(".")
+    value = -7.0 if name == "u_min" else 7.0
+    scenario = apply_grid_point(STABILIZE, {name: value})
+    if section == "bounds":
+        got = dict(zip(sim.BOUND_KEYS, scenario.bounds))[key]
+    else:
+        got = getattr(getattr(scenario, section) if section else scenario, key)
+    assert got == value and type(got) is type(getattr(STABILIZE, key, 0.0))
+
+
+def test_grid_bound_sets_both_sides():
+    assert apply_grid_point(STABILIZE, {"bound": -2.5}).bounds == (-2.5, 2.5)
+    assert apply_grid_point(STABILIZE, {"bound": math.inf}).bounds == (-math.inf, math.inf)
+    with pytest.raises(ValueError, match="bounds.u_max"):
+        apply_grid_point(STABILIZE, {"bound": math.nan})
+
+
+def test_duration_must_give_one_control_step():
+    # shorter runs gave an empty trace and a clean exit
+    with pytest.raises(ValueError, match="at least one control period"):
+        Timing(plant_dt=0.001, control_period=0.01, duration=0.004)
+    assert Timing(plant_dt=0.001, control_period=0.01, duration=0.006).control_steps == 1
