@@ -26,7 +26,7 @@ from .plant import (
     drift_term,
     gain_term,
 )
-from .prnn import PrnnConfig, PrnnState, project, relax, relax_until
+from .prnn import PrnnConfig, project, relax, relax_until
 from .qp import QpCoefficients, Weights, assemble, solve_oracle
 from .rls import EstimatedPhysical, RlsState, extract_physical, regressor, true_theta
 from .sim import (
@@ -52,7 +52,6 @@ __all__ = [
     "PendulumParams",
     "PlantState",
     "PrnnConfig",
-    "PrnnState",
     "QpCoefficients",
     "ReferenceSignal",
     "RlsState",

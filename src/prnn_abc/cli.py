@@ -33,6 +33,16 @@ def _load_or_default(config_path: str | None) -> Scenario:
     return load_scenario(config_path)
 
 
+def _out_dir(path: str) -> Path:
+    """The --out directory, created before anything runs; ConfigError if it cannot be."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {path!r}: cannot create output directory: {err}") from err
+    return out_dir
+
+
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     if getattr(args, "adaptive", None) is not None:
         scenario = dataclasses.replace(scenario, adaptive=args.adaptive == "on")
@@ -76,12 +86,10 @@ unset multiplot
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         scenario = _apply_overrides(_load_or_default(args.config), args)
+        out_dir = _out_dir(args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     trace, summary = sim.run(scenario)
     traceio.write_trace(out_dir / "trace.csv", trace)
@@ -141,6 +149,8 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
             raise ConfigError(f"grid spec {spec!r}: {err}") from err
         if not values:
             raise ConfigError(f"grid spec {spec!r} has no values")
+        if key in grid:
+            raise ConfigError(f"grid name {key!r} given more than once")
         grid[key] = values
     if not grid:
         raise ConfigError("empty sweep grid")
@@ -151,6 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         base = _apply_overrides(_load_or_default(args.config), args)
         grid = _parse_grid(args.grid)
+        out_dir = _out_dir(args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -169,8 +180,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"
     keys = list(grid)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

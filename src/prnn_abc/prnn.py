@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qp import QpCoefficients, solve_oracle
 
@@ -49,24 +50,13 @@ class PrnnConfig:
             raise ValueError("vartheta > 0 required")
 
 
-@dataclass(frozen=True)
-class PrnnState:
-    """Network state phi and the algebraically coupled control output u."""
+class RelaxResult(NamedTuple):
+    """Network state phi after integration, its output u, its equilibrium
+    residual, and the number of affine pieces (relax) or chunks (relax_until)
+    integrated."""
 
     phi: float
     u: float
-
-    @staticmethod
-    def from_phi(phi: float, q: QpCoefficients) -> "PrnnState":
-        return PrnnState(phi=phi, u=control_output(phi, q))
-
-
-@dataclass(frozen=True)
-class RelaxResult:
-    """Network state after integration, its equilibrium residual, and the
-    number of affine pieces (relax) or chunks (relax_until) integrated."""
-
-    state: PrnnState
     residual: float
     substeps: int
 
@@ -132,45 +122,41 @@ def _flow(phi: float, q: QpCoefficients, vartheta: float, duration: float) -> tu
 
 
 def _result(phi: float, q: QpCoefficients, substeps: int) -> RelaxResult:
-    state = PrnnState.from_phi(phi, q)
-    if not (math.isfinite(state.phi) and math.isfinite(state.u)):
-        raise IntegrationDivergedError(
-            f"network state became non-finite (phi={state.phi}, u={state.u})"
-        )
-    return RelaxResult(state, equilibrium_residual(phi, q), substeps)
+    u = control_output(phi, q)
+    if not (math.isfinite(phi) and math.isfinite(u)):
+        raise IntegrationDivergedError(f"network state became non-finite (phi={phi}, u={u})")
+    return RelaxResult(phi, u, equilibrium_residual(phi, q), substeps)
 
 
-def relax(
-    s: PrnnState, q: QpCoefficients, cfg: PrnnConfig, duration: float
-) -> RelaxResult:
-    """Integrate the network exactly over `duration` with frozen P, Q.
+def relax(phi: float, q: QpCoefficients, cfg: PrnnConfig, duration: float) -> RelaxResult:
+    """Integrate the network exactly over `duration` from phi with frozen P, Q.
 
     Raises IntegrationDivergedError if the resulting state is not finite,
     which non-finite coefficients can cause.
     """
-    phi, pieces = _flow(s.phi, q, cfg.vartheta, duration)
+    phi, pieces = _flow(phi, q, cfg.vartheta, duration)
     return _result(phi, q, pieces)
 
 
 def relax_until(
-    s: PrnnState,
+    phi: float,
     q: QpCoefficients,
     cfg: PrnnConfig,
     tol: float,
     step: float,
     max_steps: int = 2_000_000,
 ) -> RelaxResult:
-    """Integrate with frozen coefficients until the residual reaches tol.
+    """Integrate from phi with frozen coefficients until the residual reaches tol.
 
     Verification-oriented variant of relax(): advances the exact flow in
     chunks of `step` seconds until |PR(u - phi) - u| <= tol or max_steps
     chunks are spent; substeps counts the chunks taken.
     """
-    result = _result(s.phi, q, 0)
+    result = _result(phi, q, 0)
     for taken in range(1, max_steps + 1):
         if result.residual <= tol:
             return result
-        phi, _ = _flow(result.state.phi, q, cfg.vartheta, step)
+        phi, _ = _flow(result.phi, q, cfg.vartheta, step)
         result = _result(phi, q, taken)
     return result
 

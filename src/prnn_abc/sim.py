@@ -18,6 +18,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .backstepping import (
     reference_at,
 )
 from .plant import DisturbanceSpec, IntegrationBlowupError, PendulumParams, PlantState
-from .prnn import PrnnConfig, PrnnState
+from .prnn import PrnnConfig
 from .qp import Weights
 
 PRNN_RESIDUAL_SETTLED = 1e-6  # threshold for the time-to-residual summary column
@@ -181,9 +182,11 @@ def sinusoid_scenario(amplitude: float = 0.5, frequency: float = 0.5) -> Scenari
     )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One logged control step."""
+class TraceRecord(NamedTuple):
+    """One logged control step; the fields are the trace file's columns, in order.
+
+    theta1..theta3 are the RLS estimate, NaN when the run is not adaptive.
+    """
 
     t: float
     x1: float
@@ -200,7 +203,9 @@ class TraceRecord:
     V2: float
     V2_dot_ideal: float
     prnn_residual: float
-    theta_hat: tuple[float, float, float]
+    theta1: float
+    theta2: float
+    theta3: float
     condition_residual: float
 
 
@@ -328,32 +333,18 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
                 u = exact_feedback(a, b, refs[2], e, sc.gains)
                 residual = 0.0
             else:
-                relaxed = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, sc.prnn, period)
-                phi = relaxed.state.phi
+                relaxed = prnn.relax(phi, coeffs, sc.prnn, period)
+                phi = relaxed.phi
                 # final safety clamp: the actuator constraint holds even mid-transient
-                u = prnn.project(relaxed.state.u, sc.bounds)
+                u = prnn.project(relaxed.u, sc.bounds)
                 residual = relaxed.residual
 
-            theta_logged = tuple(float(v) for v in rls_state.theta_hat) if adaptive else _NO_THETA
+            theta = rls_state.theta_hat.tolist() if adaptive else _NO_THETA
             records.append(
                 TraceRecord(
-                    t=t,
-                    x1=state.x1,
-                    x2=state.x2,
-                    x1d=refs[0],
-                    S1=e.s1,
-                    S2=e.s2,
-                    u=u,
-                    phi=phi,
-                    A=a,
-                    B=b,
-                    P=coeffs.P,
-                    Q=coeffs.Q,
-                    V2=lyapunov_v2(e),
-                    V2_dot_ideal=ideal_v2_dot(e, sc.gains),
-                    prnn_residual=residual,
-                    theta_hat=theta_logged,
-                    condition_residual=sc.weights.R / coeffs.Q,
+                    t, state.x1, state.x2, refs[0], e.s1, e.s2, u, phi, a, b,
+                    coeffs.P, coeffs.Q, lyapunov_v2(e), ideal_v2_dot(e, sc.gains), residual,
+                    *theta, sc.weights.R / coeffs.Q,
                 )
             )
 

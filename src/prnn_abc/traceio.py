@@ -12,27 +12,7 @@ import math
 
 from .sim import TraceRecord
 
-TRACE_COLUMNS = [
-    "t",
-    "x1",
-    "x2",
-    "x1d",
-    "S1",
-    "S2",
-    "u",
-    "phi",
-    "A",
-    "B",
-    "P",
-    "Q",
-    "V2",
-    "V2_dot_ideal",
-    "prnn_residual",
-    "theta1",
-    "theta2",
-    "theta3",
-    "condition_residual",
-]
+TRACE_COLUMNS = list(TraceRecord._fields)
 
 
 class TraceFormatError(ValueError):
@@ -47,42 +27,29 @@ _ROW_FORMAT = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\r\n"
 def write_trace(path, records: list[TraceRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        fh.writelines(
-            _ROW_FORMAT % (
-                r.t, r.x1, r.x2, r.x1d, r.S1, r.S2, r.u, r.phi, r.A, r.B, r.P, r.Q,
-                r.V2, r.V2_dot_ideal, r.prnn_residual,
-                r.theta_hat[0], r.theta_hat[1], r.theta_hat[2],
-                r.condition_residual,
-            )
-            for r in records
-        )
+        fh.writelines(_ROW_FORMAT % r for r in records)
 
 
 def read_trace(path) -> list[TraceRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_COLUMNS:
-            raise TraceFormatError(f"unexpected header {header!r}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(TRACE_COLUMNS):
-                raise TraceFormatError(
-                    f"line {lineno}: expected {len(TRACE_COLUMNS)} columns, got {len(row)}"
-                )
-            try:
-                v = [float(cell) for cell in row]
-            except ValueError as err:
-                raise TraceFormatError(f"line {lineno}: {err}") from err
-            records.append(
-                TraceRecord(
-                    t=v[0], x1=v[1], x2=v[2], x1d=v[3], S1=v[4], S2=v[5], u=v[6],
-                    phi=v[7], A=v[8], B=v[9], P=v[10], Q=v[11], V2=v[12],
-                    V2_dot_ideal=v[13], prnn_residual=v[14],
-                    theta_hat=(v[15], v[16], v[17]),
-                    condition_residual=v[18],
-                )
-            )
+        try:
+            header = next(reader, None)
+            if header != TRACE_COLUMNS:
+                raise TraceFormatError(f"unexpected header {header!r}")
+            records = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(TRACE_COLUMNS):
+                    raise TraceFormatError(
+                        f"line {lineno}: expected {len(TRACE_COLUMNS)} columns, got {len(row)}"
+                    )
+                try:
+                    records.append(TraceRecord(*map(float, row)))
+                except ValueError as err:
+                    raise TraceFormatError(f"line {lineno}: {err}") from err
+        except (UnicodeDecodeError, csv.Error) as err:
+            # raised while reading: the bytes are not UTF-8 or not CSV
+            raise TraceFormatError(f"not a UTF-8 CSV file: {err}") from err
     return records
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import plant, prnn, qp, sim
 from .backstepping import Gains, ReferenceSignal
 from .plant import DisturbanceSpec, PendulumParams, PlantState
-from .prnn import PrnnConfig, PrnnState
+from .prnn import PrnnConfig
 from .qp import QpCoefficients
 from .rls import regressor, true_theta
 from .sim import Scenario, Timing, lyapunov_monitor
@@ -63,13 +63,11 @@ def suite_prnn_oracle(seed: int = 0, n: int = 1000) -> SuiteResult:
         phi0 = rng.uniform(-50.0, 50.0)
         # chunks of one time constant of the slower regime
         step = max(1.0, coeffs.Q) / vartheta
-        result = prnn.relax_until(
-            PrnnState.from_phi(phi0, coeffs), coeffs, cfg, tol=1e-9, step=step
-        )
+        result = prnn.relax_until(phi0, coeffs, cfg, tol=1e-9, step=step)
         if result.residual > 1e-9:
             unconverged += 1
             continue
-        worst = max(worst, abs(result.state.u - qp.solve_oracle(coeffs)))
+        worst = max(worst, abs(result.u - qp.solve_oracle(coeffs)))
     passed = unconverged == 0 and worst < 1e-6
     return SuiteResult(
         name="prnn-oracle",
@@ -91,14 +89,12 @@ def suite_prnn_decay(seed: int = 0) -> SuiteResult:
         phi = 1.0
         ts, logs = [0.0], [0.0]
         for k in range(30):  # spans 3/vartheta seconds
-            phi = prnn.relax(PrnnState.from_phi(phi, coeffs), coeffs, cfg, h).state.phi
+            phi = prnn.relax(phi, coeffs, cfg, h).phi
             ts.append((k + 1) * h)
             logs.append(math.log(abs(phi)))
         slope = np.polyfit(ts, logs, 1)[0]
         worst_rate_err = max(worst_rate_err, abs(-slope - vartheta) / vartheta)
-        reached = prnn.relax_until(
-            PrnnState.from_phi(1.0, coeffs), coeffs, cfg, tol=1e-6, step=h
-        )
+        reached = prnn.relax_until(1.0, coeffs, cfg, tol=1e-6, step=h)
         times.append(reached.substeps * h)
     monotone = all(t2 < t1 for t1, t2 in zip(times, times[1:]))
     passed = worst_rate_err < 1e-3 and monotone
@@ -312,7 +308,7 @@ def suite_rls_batch(seed: int = 0) -> SuiteResult:
     scenario = _rls_scenario(seed)
     trace, summary = sim.run(scenario)
     truth = true_theta(scenario.params)
-    theta_final = np.array(trace[-1].theta_hat)
+    theta_final = np.array([trace[-1].theta1, trace[-1].theta2, trace[-1].theta3])
     rel_err = float(np.linalg.norm(theta_final - truth) / np.linalg.norm(truth))
     pis, ys = rls_samples_from_trace(trace, scenario)
     theta_batch = batch_least_squares(

@@ -50,8 +50,9 @@ def test_simulate_adaptive_flag_toggles_theta_columns(tmp_path, quick_config):
                  "--adaptive", "on", "--seed", "5"]) == 0
     off_trace = read_trace(out_off / "trace.csv")
     on_trace = read_trace(out_on / "trace.csv")
-    assert all(t != t for t in off_trace[-1].theta_hat)  # nan columns
-    assert all(t == t for t in on_trace[-1].theta_hat)
+    off, on = off_trace[-1], on_trace[-1]
+    assert all(t != t for t in (off.theta1, off.theta2, off.theta3))  # nan columns
+    assert all(t == t for t in (on.theta1, on.theta2, on.theta3))
 
 
 def test_simulate_rejects_bad_config(tmp_path):
@@ -101,6 +102,36 @@ def test_validate_rejects_tampered_trace(tmp_path, quick_config):
 
 def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.csv")]) == 1
+
+
+def test_validate_non_utf8_file_is_invalid_trace(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid trace: ")
+
+
+def test_simulate_out_is_a_file_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["simulate", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ")
+    assert str(taken) in err
+
+
+def test_sweep_out_is_a_file_is_usage_error_before_any_cell(tmp_path, quick_config,
+                                                           capsys, monkeypatch):
+    cells = []
+    monkeypatch.setattr("prnn_abc.sim.run", cells.append)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["sweep", "--config", str(quick_config), "--grid", "c1=1,2",
+                 "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ")
+    assert str(taken) in err
+    assert cells == []
 
 
 def test_verify_single_suite(capsys):
@@ -160,6 +191,14 @@ def test_sweep_bad_grid_spec(tmp_path, quick_config):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["sweep", "--config", str(quick_config), "--grid", "vartheta=",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_sweep_repeated_grid_name_is_config_error(tmp_path, quick_config, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(quick_config), "--grid", "c1=1,2",
+                 "--grid", "c1=3", "--out", str(out)]) == 2
+    assert "'c1'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_requires_grid(tmp_path, quick_config):

@@ -7,7 +7,6 @@ import pytest
 
 from prnn_abc.prnn import (
     PrnnConfig,
-    PrnnState,
     control_output,
     equilibrium_phi,
     project,
@@ -74,9 +73,9 @@ def test_phi_derivative_zero_at_unconstrained_optimum():
     q = QpCoefficients(P=0.0, Q=2.0, u_min=-1.0, u_max=1.0)
     assert equilibrium_phi(q) == 0.0
     assert _phi_rate(0.0, q, 50.0) == 0.0
-    out = relax(PrnnState.from_phi(0.0, q), q, PrnnConfig(vartheta=50.0), 10.0)
-    assert out.state.phi == 0.0
-    assert out.state.u == 0.0
+    out = relax(0.0, q, PrnnConfig(vartheta=50.0), 10.0)
+    assert out.phi == 0.0
+    assert out.u == 0.0
     assert out.residual <= 1e-14
 
 
@@ -84,26 +83,25 @@ def test_phi_derivative_zero_at_saturated_equilibrium():
     q = QpCoefficients(P=3.0, Q=2.0, u_min=-1.0, u_max=1.0)
     phi_star = equilibrium_phi(q)
     assert phi_star == pytest.approx(1.0, rel=1e-14)  # Q*(-1) + 3
-    s = PrnnState.from_phi(phi_star, q)
-    assert s.u == pytest.approx(-1.0, rel=1e-14)
+    assert control_output(phi_star, q) == pytest.approx(-1.0, rel=1e-14)
     assert _phi_rate(phi_star, q, 50.0) == pytest.approx(0.0, abs=1e-12)
-    out = relax(s, q, PrnnConfig(vartheta=50.0), 10.0)
-    assert out.state.phi == pytest.approx(phi_star, abs=1e-14)
-    assert out.state.u == pytest.approx(-1.0, abs=1e-14)
+    out = relax(phi_star, q, PrnnConfig(vartheta=50.0), 10.0)
+    assert out.phi == pytest.approx(phi_star, abs=1e-14)
+    assert out.u == pytest.approx(-1.0, abs=1e-14)
     assert out.residual <= 1e-14
 
 
 def test_relax_reaches_interior_optimum():
     q = QpCoefficients(P=-1.0, Q=2.0, u_min=-1.0, u_max=1.0)
-    out = relax_until(PrnnState.from_phi(5.0, q), q, PrnnConfig(), tol=1e-9, step=0.02)
+    out = relax_until(5.0, q, PrnnConfig(), tol=1e-9, step=0.02)
     assert out.residual <= 1e-9
-    assert out.state.u == pytest.approx(0.5, abs=1e-8)
+    assert out.u == pytest.approx(0.5, abs=1e-8)
 
 
 def test_relax_reaches_clamped_optimum():
     q = QpCoefficients(P=3.0, Q=2.0, u_min=-1.0, u_max=1.0)
-    out = relax_until(PrnnState.from_phi(-4.0, q), q, PrnnConfig(), tol=1e-9, step=0.02)
-    assert out.state.u == pytest.approx(-1.0, abs=1e-8)
+    out = relax_until(-4.0, q, PrnnConfig(), tol=1e-9, step=0.02)
+    assert out.u == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_relax_matches_oracle_randomized():
@@ -113,11 +111,9 @@ def test_relax_matches_oracle_randomized():
     for _ in range(200):
         q = _random_qp(rng)
         step = max(1.0, q.Q) / vartheta
-        out = relax_until(
-            PrnnState.from_phi(rng.uniform(-50, 50), q), q, cfg, tol=1e-9, step=step
-        )
+        out = relax_until(rng.uniform(-50, 50), q, cfg, tol=1e-9, step=step)
         assert out.residual <= 1e-9
-        assert abs(out.state.u - solve_oracle(q)) < 1e-6
+        assert abs(out.u - solve_oracle(q)) < 1e-6
 
 
 def test_relax_matches_fine_rk4_reference():
@@ -144,11 +140,11 @@ def test_relax_matches_fine_rk4_reference():
         far = max(((q.Q * b + q.P) / (1.0 - q.Q) for b in (lo, hi)),
                   key=lambda b: abs(b - phi_star))
         phi0 = far + (far - phi_star) * rng.uniform(0.5, 5)
-        exact = relax(PrnnState.from_phi(phi0, q), q, cfg, duration)
+        exact = relax(phi0, q, cfg, duration)
         assert exact.substeps == 3
         for i, n in enumerate(steps):
             ref = _rk4_reference(phi0, q, vartheta, duration, n)
-            gaps[i, k] = abs(ref - exact.state.phi) / (1.0 + abs(phi0))
+            gaps[i, k] = abs(ref - exact.phi) / (1.0 + abs(phi0))
     worst = gaps.max(axis=1)
     assert np.all(worst[1:] <= worst[:-1] / 4.0)
     assert worst[-1] < 1e-7
@@ -164,9 +160,9 @@ def test_interior_exponential_law():
     n = 60  # spans t = 3/vartheta twice over
     logs, ts = [], []
     for k in range(n):
-        out = relax(PrnnState.from_phi(phi, WIDE), WIDE, cfg, h)
+        out = relax(phi, WIDE, cfg, h)
         assert out.substeps == 1
-        phi = out.state.phi
+        phi = out.phi
         ts.append((k + 1) * h)
         logs.append(math.log(abs(phi / phi0)))
     # pointwise 1% agreement at and beyond t = 3/vartheta
@@ -182,7 +178,7 @@ def test_doubling_rate_halves_convergence_time():
     for vartheta in (5.0, 10.0, 20.0, 40.0):
         h = 0.1 / vartheta
         cfg = PrnnConfig(vartheta=vartheta)
-        out = relax_until(PrnnState.from_phi(10.0, q), q, cfg, tol=1e-6, step=h)
+        out = relax_until(10.0, q, cfg, tol=1e-6, step=h)
         times.append(out.substeps * h)
     coarsest_step = 0.1 / 5.0
     for t1, t2 in zip(times, times[1:]):
@@ -201,7 +197,7 @@ def test_network_lyapunov_decrease():
         phi = rng.uniform(-50, 50)
         v_prev = 0.5 * (phi - phi_star) ** 2 * (1.0 + 1.0 / q.Q)
         for _ in range(1000):
-            phi = relax(PrnnState.from_phi(phi, q), q, cfg, h).state.phi
+            phi = relax(phi, q, cfg, h).phi
             v = 0.5 * (phi - phi_star) ** 2 * (1.0 + 1.0 / q.Q)
             assert v <= v_prev + 1e-10 * (1.0 + v)
             v_prev = v
@@ -210,10 +206,11 @@ def test_network_lyapunov_decrease():
 def test_output_equation_holds_after_every_substep():
     q = QpCoefficients(P=4.0, Q=0.5, u_min=-2.0, u_max=2.0)
     cfg = PrnnConfig(vartheta=30.0)
-    state = PrnnState.from_phi(-3.0, q)
+    phi = -3.0
     for _ in range(200):
-        state = relax(state, q, cfg, 0.5 / 30.0).state
-        assert state.u == control_output(state.phi, q)
+        out = relax(phi, q, cfg, 0.5 / 30.0)
+        assert out.u == control_output(out.phi, q)
+        phi = out.phi
 
 
 def test_config_validation():

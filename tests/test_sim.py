@@ -31,6 +31,10 @@ STABILIZE = Scenario(
 )
 
 
+def _theta(r):
+    return (r.theta1, r.theta2, r.theta3)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(bounds=(1.0, -1.0))
@@ -69,7 +73,7 @@ def test_trace_records_are_consistent():
             -sc.gains.c1 * r.S1**2 - sc.gains.c2 * r.S2**2, rel=1e-15
         )
         assert r.condition_residual == pytest.approx(sc.weights.R / r.Q, rel=1e-15)
-        assert math.isnan(r.theta_hat[0])  # non-adaptive run logs no estimate
+        assert math.isnan(r.theta1)  # non-adaptive run logs no estimate
 
 
 @pytest.mark.filterwarnings("ignore:nonphysical parameter estimate")
@@ -84,7 +88,7 @@ def test_determinism_bit_identical():
 def test_seed_changes_adaptive_run():
     t1, _ = run(replace(STABILIZE, adaptive=True, seed=1))
     t2, _ = run(replace(STABILIZE, adaptive=True, seed=2))
-    assert t1[10].theta_hat != t2[10].theta_hat
+    assert _theta(t1[10]) != _theta(t2[10])
 
 
 def test_adaptive_tracking_with_perturbed_estimate():
@@ -102,7 +106,7 @@ def test_adaptive_tracking_with_perturbed_estimate():
     # catch-up transient and check the steady tracking band instead
     steady = [abs(r.S1) for r in trace if r.t > 3.0]
     assert max(steady) < 0.03
-    theta_cols = np.array([r.theta_hat for r in trace[1:]])
+    theta_cols = np.array([_theta(r) for r in trace[1:]])
     assert np.all(np.isfinite(theta_cols))
 
 
@@ -203,7 +207,7 @@ def test_exact_baseline_ignores_adaptive_flag():
     trace_n, summary_n = run_exact_baseline(nominal)
     assert repr(trace_a) == repr(trace_n)  # repr: the theta columns hold NaN
     assert repr(summary_a) == repr(summary_n)
-    assert all(math.isnan(v) for r in trace_a for v in r.theta_hat)
+    assert all(math.isnan(v) for r in trace_a for v in _theta(r))
     assert math.isnan(summary_a.final_theta_error)
     assert not summary_a.nonphysical_estimate
 

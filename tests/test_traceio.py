@@ -3,7 +3,6 @@
 import csv
 import io
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,12 @@ from prnn_abc.traceio import (
     check_trace,
     read_trace,
     write_trace,
+)
+
+# the trace file's header, spelled out independently of TraceRecord's fields
+PINNED_HEADER = (
+    "t,x1,x2,x1d,S1,S2,u,phi,A,B,P,Q,V2,V2_dot_ideal,prnn_residual,"
+    "theta1,theta2,theta3,condition_residual"
 )
 
 
@@ -37,7 +42,7 @@ def _as_columns(record):
             record.t, record.x1, record.x2, record.x1d, record.S1, record.S2,
             record.u, record.phi, record.A, record.B, record.P, record.Q,
             record.V2, record.V2_dot_ideal, record.prnn_residual,
-            *record.theta_hat, record.condition_residual,
+            record.theta1, record.theta2, record.theta3, record.condition_residual,
         )
     ]
 
@@ -60,11 +65,10 @@ def test_write_matches_csv_writer_on_special_values(tmp_path, short_trace):
     for k in range(len(specials)):
         v = [specials[(k + j) % len(specials)] for j in range(len(TRACE_COLUMNS))]
         records.append(
-            replace(
-                short_trace[0],
+            short_trace[0]._replace(
                 t=v[0], x1=v[1], x2=v[2], x1d=v[3], S1=v[4], S2=v[5], u=v[6], phi=v[7],
                 A=v[8], B=v[9], P=v[10], Q=v[11], V2=v[12], V2_dot_ideal=v[13],
-                prnn_residual=v[14], theta_hat=(v[15], v[16], v[17]),
+                prnn_residual=v[14], theta1=v[15], theta2=v[16], theta3=v[17],
                 condition_residual=v[18],
             )
         )
@@ -81,15 +85,19 @@ def test_header_and_column_count(tmp_path, short_trace):
     path = tmp_path / "trace.csv"
     write_trace(path, short_trace)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0].split(",") == TRACE_COLUMNS
+    assert lines[0] == PINNED_HEADER
     assert all(len(line.split(",")) == len(TRACE_COLUMNS) for line in lines)
+
+
+def test_trace_columns_are_pinned():
+    assert TRACE_COLUMNS == PINNED_HEADER.split(",")
 
 
 def test_nan_theta_columns_round_trip(tmp_path, short_trace):
     path = tmp_path / "trace.csv"
     write_trace(path, short_trace)
     back = read_trace(path)
-    assert math.isnan(back[0].theta_hat[0])
+    assert math.isnan(back[0].theta1)
 
 
 def test_check_trace_clean(short_trace):
@@ -98,20 +106,20 @@ def test_check_trace_clean(short_trace):
 
 def test_check_trace_catches_tampered_v2(short_trace):
     tampered = list(short_trace)
-    tampered[3] = replace(tampered[3], V2=tampered[3].V2 + 1e-3)
+    tampered[3] = tampered[3]._replace(V2=tampered[3].V2 + 1e-3)
     problems = check_trace(tampered)
     assert any("V2" in p for p in problems)
 
 
 def test_check_trace_catches_inconsistent_condition_residual(short_trace):
     tampered = list(short_trace)
-    tampered[5] = replace(tampered[5], condition_residual=0.5)
+    tampered[5] = tampered[5]._replace(condition_residual=0.5)
     assert any("condition_residual" in p for p in check_trace(tampered))
 
 
 def test_check_trace_catches_time_gap(short_trace):
     tampered = list(short_trace)
-    tampered[7] = replace(tampered[7], t=tampered[7].t + 0.004)
+    tampered[7] = tampered[7]._replace(t=tampered[7].t + 0.004)
     assert any("time step" in p for p in check_trace(tampered))
 
 
@@ -141,4 +149,18 @@ def test_read_rejects_non_numeric(tmp_path, short_trace):
     content[1] = ",".join(parts)
     path.write_text("\n".join(content) + "\n", encoding="utf-8")
     with pytest.raises(TraceFormatError, match="line 2"):
+        read_trace(path)
+
+
+def test_read_rejects_non_utf8(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    with pytest.raises(TraceFormatError, match="UTF-8"):
+        read_trace(path)
+
+
+def test_read_rejects_field_over_csv_limit(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("t," + "9" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="field limit"):
         read_trace(path)
