@@ -120,13 +120,17 @@ def s2_rate(
     return a + b * u - ddx1d + gains.c1 * e.s2 - gains.c1**2 * e.s1
 
 
+def stabilizing_target(a: float, ddx1d: float, e: ErrorCoords, gains: Gains) -> float:
+    """A - ddx1d + (c1+c2)*S2 + (1-c1^2)*S1; the stabilizing condition is B*u = -target."""
+    return a - ddx1d + (gains.c1 + gains.c2) * e.s2 + (1.0 - gains.c1**2) * e.s1
+
+
 def exact_feedback(
     a: float, b: float, ddx1d: float, e: ErrorCoords, gains: Gains
 ) -> float:
-    """Force solving A + B*u - ddx1d + (c1+c2)*S2 + (1-c1^2)*S1 = 0.
+    """Force solving the stabilizing condition B*u = -stabilizing_target(...).
 
     This is the exact stabilizing law that yields dV2/dt = -c1*S1^2 - c2*S2^2;
     it requires B != 0 and ignores actuator bounds.
     """
-    target = a - ddx1d + (gains.c1 + gains.c2) * e.s2 + (1.0 - gains.c1**2) * e.s1
-    return -target / b
+    return -stabilizing_target(a, ddx1d, e, gains) / b

@@ -64,6 +64,7 @@ def _print_summary(summary: RunSummary) -> None:
             print(f"  {name:24s} {value}")
 
 
+# the plotted columns are found by name in the trace columns; gnuplot counts from 1
 _GNUPLOT_SCRIPT = """\
 # gnuplot script for a controller trace; run from the output directory:
 #   gnuplot plot.gp
@@ -73,14 +74,14 @@ set terminal pngcairo size 1200,900
 set output 'trace.png'
 set multiplot layout 3,1
 set ylabel 'angle (rad)'
-plot 'trace.csv' using 1:2 with lines title 'x1', '' using 1:4 with lines title 'x1d'
+plot 'trace.csv' using {t}:{x1} with lines title 'x1', '' using {t}:{x1d} with lines title 'x1d'
 set ylabel 'control (N)'
-plot 'trace.csv' using 1:7 with lines title 'u'
+plot 'trace.csv' using {t}:{u} with lines title 'u'
 set ylabel 'V2'
 set logscale y
-plot 'trace.csv' using 1:13 with lines title 'V2'
+plot 'trace.csv' using {t}:{V2} with lines title 'V2'
 unset multiplot
-"""
+""".format(**{name: i for i, name in enumerate(traceio.TRACE_COLUMNS, start=1)})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", help="run a single suite (default: all)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--scenario", help="scenario YAML for the lyapunov monitor suite")
+    p.add_argument("--scenario", help="scenario YAML whose run adds a lyapunov-monitor result")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="grid of runs, one summary row per cell")

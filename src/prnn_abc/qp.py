@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .backstepping import ErrorCoords, Gains
+from .backstepping import ErrorCoords, Gains, stabilizing_target
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,11 @@ class Weights:
         if not self.R > 0:
             raise ValueError("R > 0 required")
         if self.T <= self.R:
+            # no stacklevel: one frame up is the dataclass-generated __init__,
+            # which has no source file to name
             warnings.warn(
                 "tracking weight T should exceed effort weight R; "
-                f"got T={self.T}, R={self.R}",
-                stacklevel=2,
+                f"got T={self.T}, R={self.R}"
             )
 
 
@@ -70,8 +71,7 @@ def assemble(
     stored; cost() therefore differs from the full index by that constant,
     which leaves the minimizer unchanged.
     """
-    target = a - ddx1d + (gains.c1 + gains.c2) * e.s2 + (1.0 - gains.c1**2) * e.s1
-    p = weights.T * b * target
+    p = weights.T * b * stabilizing_target(a, ddx1d, e, gains)
     q = weights.T * b * b + weights.R
     return QpCoefficients(P=p, Q=q, u_min=bounds[0], u_max=bounds[1])
 

@@ -66,6 +66,22 @@ def regressor(state: PlantState, x2dot: float, u: float, g: float) -> np.ndarray
     )
 
 
+def sample(
+    prev: PlantState, prev_u: float, state: PlantState, period: float, g: float, gate: float
+) -> tuple[np.ndarray, float] | None:
+    """(Pi, y) of the period from `prev` under force `prev_u` to `state`; None if |Pi| < gate.
+
+    y is the backward-difference x2dot; it approximates the mid-interval
+    derivative, so Pi is taken at the mid-interval state as well.
+    """
+    x2dot = (state.x2 - prev.x2) / period
+    mid = PlantState(0.5 * (state.x1 + prev.x1), 0.5 * (state.x2 + prev.x2))
+    pi = regressor(mid, x2dot, prev_u, g)
+    if float(np.linalg.norm(pi)) < gate:
+        return None
+    return pi, x2dot
+
+
 def update(s: RlsState, pi: np.ndarray, y: float) -> RlsState:
     """One RLS step: gain G = M*Pi / (1 + Pi'*M*Pi), theta += G*e, M -= G*Pi'*M.
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import plant, prnn, qp, rls
 from .backstepping import (
-    ErrorCoords,
     Gains,
     ReferenceSignal,
     error_coords,
@@ -303,16 +302,9 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
                 break
 
             if adaptive and prev is not None:
-                prev_state, prev_u = prev
-                x2dot = (state.x2 - prev_state.x2) / period
-                # the backward difference approximates the mid-interval derivative,
-                # so the regressor is sampled at the mid-interval state as well
-                mid = PlantState(
-                    0.5 * (state.x1 + prev_state.x1), 0.5 * (state.x2 + prev_state.x2)
-                )
-                pi = rls.regressor(mid, x2dot, prev_u, sc.params.g)
-                if float(np.linalg.norm(pi)) >= sc.rls.excitation_gate:
-                    rls_state = rls.update(rls_state, pi, x2dot)
+                sample = rls.sample(*prev, state, period, sc.params.g, sc.rls.excitation_gate)
+                if sample is not None:
+                    rls_state = rls.update(rls_state, *sample)
 
             if adaptive and k >= sc.rls.warmup_steps:
                 try:
@@ -481,6 +473,9 @@ GRID_KEYS = {
 
 
 def apply_grid_point(base: Scenario, coords: dict[str, float]) -> Scenario:
+    clash = [key for key in ("u_min", "u_max") if key in coords and "bound" in coords]
+    if clash:  # in either order, one of the two axes would silently override the other
+        raise ValueError(f"sweep parameters 'bound' and {clash[0]!r} both set bounds.{clash[0]}")
     scenario = base
     for key, value in coords.items():
         if key == "bound":

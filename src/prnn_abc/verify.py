@@ -16,12 +16,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import plant, prnn, qp, sim
+from . import plant, prnn, qp, rls, sim
 from .backstepping import Gains, ReferenceSignal
 from .plant import DisturbanceSpec, PendulumParams, PlantState
 from .prnn import PrnnConfig
 from .qp import QpCoefficients
-from .rls import regressor, true_theta
+# regressor is not called here, but the benchmark's traced pass wraps verify.regressor
+from .rls import regressor, true_theta  # noqa: F401
 from .sim import Scenario, Timing, lyapunov_monitor
 
 
@@ -109,22 +110,12 @@ def suite_prnn_decay(seed: int = 0) -> SuiteResult:
     )
 
 
-def _baseline_timing(duration: float = 3.0) -> Timing:
+def suite_lyapunov(seed: int = 0) -> SuiteResult:
+    """Exact-feedback runs must realize dV2/dt = -c1*S1^2 - c2*S2^2."""
+    del seed
     # record every plant step so the finite-difference V2 check is as sharp
     # as the integrator allows
-    return Timing(plant_dt=0.001, control_period=0.001, duration=duration)
-
-
-def suite_lyapunov(seed: int = 0, scenario: Scenario | None = None) -> SuiteResult:
-    """Exact-feedback runs must realize dV2/dt = -c1*S1^2 - c2*S2^2.
-
-    When a scenario is supplied, the logged-trace monitor is applied to that
-    scenario's optimizer run instead.
-    """
-    del seed
-    if scenario is not None:
-        return monitor_scenario(scenario)
-    timing = _baseline_timing()
+    timing = Timing(plant_dt=0.001, control_period=0.001, duration=3.0)
     cases = []
     for c1, c2 in ((1.0, 1.0), (2.0, 2.0), (3.0, 1.0)):
         for ref, x10 in (
@@ -163,11 +154,18 @@ def suite_lyapunov(seed: int = 0, scenario: Scenario | None = None) -> SuiteResu
     )
 
 
+def _late_violations(
+    trace: list[sim.TraceRecord], scenario: Scenario
+) -> tuple[float, list[sim.Violation]]:
+    """The network transient 5/vartheta and the monitor violations after it."""
+    transient = 5.0 / scenario.prnn.vartheta
+    return transient, [v for v in lyapunov_monitor(trace) if v.t > transient]
+
+
 def monitor_scenario(scenario: Scenario) -> SuiteResult:
     """Logged-trace Lyapunov monitor for one optimizer run."""
     trace, summary = sim.run(scenario)
-    transient = 5.0 / scenario.prnn.vartheta
-    violations = [v for v in lyapunov_monitor(trace) if v.t > transient]
+    transient, violations = _late_violations(trace, scenario)
     passed = not summary.aborted and not violations
     lines = [f"{len(violations)} monitor violations after t = {transient:.3f}s"]
     if summary.aborted:
@@ -180,23 +178,11 @@ def monitor_scenario(scenario: Scenario) -> SuiteResult:
     )
 
 
-def _stabilization_scenario() -> Scenario:
-    return Scenario(
-        initial=PlantState(0.1, 0.0),
-        reference=ReferenceSignal(kind="constant", setpoint=0.0),
-        gains=Gains(2.0, 2.0),
-        weights=qp.Weights(T=100.0, R=0.01),
-        bounds=(-30.0, 30.0),
-        prnn=PrnnConfig(vartheta=50.0),
-        timing=Timing(plant_dt=0.001, control_period=0.01, duration=5.0),
-    )
-
-
 def suite_stabilization(seed: int = 0) -> SuiteResult:
     """Default closed loop: settle below 0.01 rad in 5 s, bounds respected,
     V2 non-increasing after the network transient."""
     del seed
-    scenario = _stabilization_scenario()
+    scenario = Scenario()
     trace, summary = sim.run(scenario)
     x1 = np.array([r.x1 for r in trace])
     t = np.array([r.t for r in trace])
@@ -204,8 +190,7 @@ def suite_stabilization(seed: int = 0) -> SuiteResult:
     lo, hi = scenario.bounds
     settled = sim.holds_below_from(x1, 0.01, t)
     within_bounds = bool(np.all((u >= lo) & (u <= hi)))
-    transient = 5.0 / scenario.prnn.vartheta
-    violations = [v for v in lyapunov_monitor(trace) if v.t > transient]
+    transient, violations = _late_violations(trace, scenario)
     passed = (
         not summary.aborted
         and not math.isnan(settled)
@@ -231,7 +216,7 @@ def suite_stabilization(seed: int = 0) -> SuiteResult:
 def suite_r_consistency(seed: int = 0) -> SuiteResult:
     """As R -> 0 the network control converges to the exact feedback."""
     del seed
-    base = replace(_stabilization_scenario(), bounds=(-1e6, 1e6))
+    base = replace(Scenario(), bounds=(-1e6, 1e6))
     diffs = []
     for r_weight in (1.0, 0.1, 0.01, 0.001):
         scenario = replace(base, weights=qp.Weights(T=100.0, R=r_weight))
@@ -278,34 +263,19 @@ def rls_samples_from_trace(
     trace: list[sim.TraceRecord], scenario: Scenario
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the (Pi, y) stream the adaptive loop consumed from its trace."""
-    period = scenario.timing.control_period
-    pis, ys = [], []
-    for k in range(1, len(trace)):
-        prev_r, cur_r = trace[k - 1], trace[k]
-        x2dot = (cur_r.x2 - prev_r.x2) / period
-        mid = PlantState(0.5 * (cur_r.x1 + prev_r.x1), 0.5 * (cur_r.x2 + prev_r.x2))
-        pi = regressor(mid, x2dot, prev_r.u, scenario.params.g)
-        if float(np.linalg.norm(pi)) >= scenario.rls.excitation_gate:
-            pis.append(pi)
-            ys.append(x2dot)
-    return np.asarray(pis), np.asarray(ys)
-
-
-def _rls_scenario(seed: int) -> Scenario:
-    return Scenario(
-        initial=PlantState(0.0, 0.0),
-        reference=ReferenceSignal(kind="sinusoid", amplitude=0.5, frequency=0.5),
-        prnn=PrnnConfig(vartheta=50.0),
-        timing=Timing(plant_dt=0.001, control_period=0.01, duration=5.0),
-        adaptive=True,
-        seed=seed,
-    )
+    args = (scenario.timing.control_period, scenario.params.g, scenario.rls.excitation_gate)
+    samples = [
+        rls.sample(PlantState(prev.x1, prev.x2), prev.u, PlantState(cur.x1, cur.x2), *args)
+        for prev, cur in zip(trace, trace[1:])
+    ]
+    kept = [s for s in samples if s is not None]
+    return np.asarray([pi for pi, _ in kept]), np.asarray([y for _, y in kept])
 
 
 def suite_rls_batch(seed: int = 0) -> SuiteResult:
     """Noise-free excited run: estimates reach the true parameter combinations
     and agree with a direct batch solve of the same samples."""
-    scenario = _rls_scenario(seed)
+    scenario = replace(sim.sinusoid_scenario(), adaptive=True, seed=seed)
     trace, summary = sim.run(scenario)
     truth = true_theta(scenario.params)
     theta_final = np.array([trace[-1].theta1, trace[-1].theta2, trace[-1].theta3])
@@ -331,7 +301,7 @@ def suite_saturation(seed: int = 0) -> SuiteResult:
     """Tight bounds: control rides the limit, never crosses it, still settles."""
     del seed
     scenario = replace(
-        _stabilization_scenario(),
+        Scenario(),
         initial=PlantState(0.15, 0.0),
         bounds=(-2.0, 2.0),
         timing=Timing(plant_dt=0.001, control_period=0.01, duration=10.0),
@@ -458,14 +428,13 @@ def run_suites(
     seed: int = 0,
     scenario: Scenario | None = None,
 ) -> list[SuiteResult]:
-    """Run the named suites (all by default) and return their results."""
+    """Run the named suites (all by default), then monitor_scenario(scenario) if given."""
     selected = names if names else list(SUITES)
     results = []
     for name in selected:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-        if name == "lyapunov":
-            results.append(suite_lyapunov(seed=seed, scenario=scenario))
-        else:
-            results.append(SUITES[name](seed=seed))
+        results.append(SUITES[name](seed=seed))
+    if scenario is not None:
+        results.append(monitor_scenario(scenario))
     return results

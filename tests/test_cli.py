@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,7 @@ from prnn_abc.cli import main
 from prnn_abc.config import save_scenario
 from prnn_abc.plant import PlantState
 from prnn_abc.sim import Scenario, Timing, default_scenario
-from prnn_abc.traceio import read_trace
+from prnn_abc.traceio import TRACE_COLUMNS, read_trace
 
 
 @pytest.fixture()
@@ -39,6 +40,16 @@ def test_simulate_with_config_and_gnuplot(tmp_path, quick_config):
     assert (out / "summary.json").exists()
     assert (out / "scenario.yaml").exists()
     assert "trace.csv" in (out / "plot.gp").read_text()
+
+
+def test_gnuplot_script_plots_columns_by_name(tmp_path, quick_config):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(quick_config), "--out", str(out), "--gnuplot"]) == 0
+    plots = re.findall(r"using (\d+):(\d+) with lines title '(\w+)'", (out / "plot.gp").read_text())
+    assert sorted(title for _, _, title in plots) == ["V2", "u", "x1", "x1d"]
+    for x, y, title in plots:
+        assert int(x) == TRACE_COLUMNS.index("t") + 1
+        assert int(y) == TRACE_COLUMNS.index(title) + 1
 
 
 def test_simulate_adaptive_flag_toggles_theta_columns(tmp_path, quick_config):
@@ -157,6 +168,15 @@ def test_verify_monitor_on_named_scenario(tmp_path, quick_config, capsys):
     code = main(["verify", "--suite", "lyapunov", "--scenario", str(quick_config)])
     assert code == 0
     assert "lyapunov-monitor" in capsys.readouterr().out
+
+
+def test_verify_scenario_adds_monitor_to_all_criteria(quick_config, capsys):
+    # the scenario's monitor is an eleventh result; criterion 3 still runs
+    assert main(["verify", "--scenario", str(quick_config)]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] lyapunov (" in out
+    assert "[PASS] lyapunov-monitor" in out
+    assert out.rstrip().endswith("11/11 suites passed")
 
 
 def test_sweep_single_cell_matches_simulate(tmp_path, quick_config):

@@ -1,7 +1,5 @@
 """QP assembly, cost/gradient, and the closed-form oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,14 @@ def test_weights_warn_when_effort_dominates():
         Weights(T=1.0, R=1.0)
     with pytest.warns(UserWarning):
         Weights(T=0.5, R=1.0)
+
+
+def test_weights_warning_names_a_source_file():
+    # one frame up is the dataclass-generated __init__, reported as "<string>"
+    with pytest.warns(UserWarning, match="T should exceed") as record:
+        Weights(T=1.0, R=1.0)
+    assert record[0].filename != "<string>"
+    assert record[0].filename.endswith("qp.py")
 
 
 def test_weights_validation():

@@ -1,12 +1,13 @@
 """Recursive least-squares estimator and adaptive coefficient assembly."""
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from prnn_abc.backstepping import ErrorCoords, Gains
 from prnn_abc.plant import PendulumParams, PlantState, derivatives, drift_term, gain_term
+from prnn_abc import rls, sim
 from prnn_abc.qp import Weights, assemble
 from prnn_abc.rls import (
     EstimatedPhysical,
@@ -16,10 +17,11 @@ from prnn_abc.rls import (
     extract_physical,
     initial_state,
     regressor,
+    sample,
     true_theta,
     update,
 )
-from prnn_abc.verify import batch_least_squares
+from prnn_abc.verify import batch_least_squares, rls_samples_from_trace
 
 PARAMS = PendulumParams()
 THETA_TRUE = true_theta(PARAMS)
@@ -48,6 +50,50 @@ def test_regressor_identity_against_plant():
         _, x2dot = derivatives(PARAMS, state, u)
         pi = regressor(state, x2dot, u, PARAMS.g)
         assert float(pi @ THETA_TRUE) == pytest.approx(x2dot, rel=1e-10, abs=1e-10)
+
+
+def test_sample_is_backward_difference_at_mid_interval():
+    prev, state, u = PlantState(0.1, 0.4), PlantState(0.12, 0.3), 2.0
+    pi, y = sample(prev, u, state, 0.01, PARAMS.g, 1e-8)
+    assert y == pytest.approx(-10.0, rel=1e-12)
+    expected = regressor(PlantState(0.11, 0.35), y, u, PARAMS.g)
+    assert pi == pytest.approx(expected, rel=1e-12)
+
+
+def test_sample_below_excitation_gate_is_none():
+    rest = PlantState(0.0, 0.0)  # at rest without force the regressor is zero
+    assert sample(rest, 0.0, rest, 0.01, PARAMS.g, 1e-8) is None
+    pi, y = sample(rest, 0.0, rest, 0.01, PARAMS.g, 0.0)
+    assert np.array_equal(pi, np.zeros(3)) and y == 0.0
+    # a sample is kept when |Pi| reaches the gate, dropped just below it
+    state = PlantState(0.0, 0.01)
+    norm = float(np.linalg.norm(sample(rest, 1.0, state, 0.01, PARAMS.g, 0.0)[0]))
+    assert sample(rest, 1.0, state, 0.01, PARAMS.g, norm) is not None
+    assert sample(rest, 1.0, state, 0.01, PARAMS.g, np.nextafter(norm, np.inf)) is None
+
+
+def test_samples_from_trace_rebuild_the_applied_stream(monkeypatch):
+    applied = []
+    real_update = rls.update
+
+    def recording_update(s, pi, y):
+        applied.append((np.array(pi), y))
+        return real_update(s, pi, y)
+
+    monkeypatch.setattr(sim.rls, "update", recording_update)
+    # a gate high enough to drop some samples, so the rebuilt stream must skip them too
+    scenario = replace(
+        sim.sinusoid_scenario(),
+        adaptive=True,
+        timing=sim.Timing(0.001, 0.01, 1.0),
+        rls=sim.RlsOptions(excitation_gate=2.0),
+    )
+    trace, summary = sim.run(scenario)
+    assert not summary.aborted
+    pis, ys = rls_samples_from_trace(trace, scenario)
+    assert 0 < len(applied) < len(trace) - 1
+    assert np.array_equal(pis, np.array([pi for pi, _ in applied]))
+    assert np.array_equal(ys, np.array([y for _, y in applied]))
 
 
 def _synthetic_samples(n, seed, noise=0.0):

@@ -8,10 +8,10 @@ import pytest
 
 import prnn_abc.plant as plant_module
 from prnn_abc import sim
-from prnn_abc.backstepping import Gains, ReferenceSignal
+from prnn_abc.backstepping import ReferenceSignal
 from prnn_abc.plant import DisturbanceSpec, PlantState
 from prnn_abc.prnn import PrnnConfig
-from prnn_abc.qp import QpCoefficients, Weights
+from prnn_abc.qp import QpCoefficients
 from prnn_abc.sim import (
     Scenario,
     Timing,
@@ -457,6 +457,16 @@ def test_grid_bound_sets_both_sides():
     assert apply_grid_point(STABILIZE, {"bound": math.inf}).bounds == (-math.inf, math.inf)
     with pytest.raises(ValueError, match="bounds.u_max"):
         apply_grid_point(STABILIZE, {"bound": math.nan})
+
+
+@pytest.mark.parametrize("side", ["u_min", "u_max"])
+def test_grid_bound_clashes_with_either_side(side):
+    # in either order one axis would silently override the other
+    for coords in ({"bound": 1.0, side: 5.0}, {side: 5.0, "bound": 1.0}):
+        with pytest.raises(ValueError, match=rf"'bound' and '{side}'"):
+            apply_grid_point(STABILIZE, coords)
+    cells = sweep(STABILIZE, {side: [5.0], "bound": [1.0]})
+    assert cells[0].summary is None and "'bound'" in cells[0].error
 
 
 def test_duration_must_give_one_control_step():
