@@ -28,7 +28,7 @@ from .plant import (
 )
 from .prnn import PrnnConfig, project, relax, relax_until
 from .qp import QpCoefficients, Weights, assemble, solve_oracle
-from .rls import EstimatedPhysical, RlsState, extract_physical, regressor, true_theta
+from .rls import RlsState, extract_physical, regressor, true_theta
 from .sim import (
     RunSummary,
     Scenario,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DisturbanceSpec",
     "ErrorCoords",
-    "EstimatedPhysical",
     "Gains",
     "PendulumParams",
     "PlantState",

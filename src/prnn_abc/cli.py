@@ -85,12 +85,8 @@ unset multiplot
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        scenario = _apply_overrides(_load_or_default(args.config), args)
-        out_dir = _out_dir(args.out)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = _apply_overrides(_load_or_default(args.config), args)
+    out_dir = _out_dir(args.out)
 
     trace, summary = sim.run(scenario)
     traceio.write_trace(out_dir / "trace.csv", trace)
@@ -115,13 +111,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    scenario = None
-    if args.scenario is not None:
-        try:
-            scenario = load_scenario(args.scenario)
-        except ConfigError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
+    scenario = None if args.scenario is None else load_scenario(args.scenario)
     names = [args.suite] if args.suite else None
     try:
         results = verify.run_suites(names, seed=args.seed, scenario=scenario)
@@ -159,13 +149,9 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        base = _apply_overrides(_load_or_default(args.config), args)
-        grid = _parse_grid(args.grid)
-        out_dir = _out_dir(args.out)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    base = _apply_overrides(_load_or_default(args.config), args)
+    grid = _parse_grid(args.grid)
+    out_dir = _out_dir(args.out)
 
     workers = 1
     env = os.environ.get("PRNN_ABC_THREADS")
@@ -175,11 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"ignoring malformed PRNN_ABC_THREADS={env!r}", file=sys.stderr)
 
-    try:
-        results = sim.sweep(base, grid, max_workers=workers)
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    results = sim.sweep(base, grid, max_workers=workers)
 
     out_path = out_dir / "sweep.csv"
     keys = list(grid)
@@ -190,19 +172,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             row = [format(cell.coords[k], ".17g") for k in keys]
             if cell.summary is None:
                 row += ["" for _ in _SUMMARY_FIELDS]
-                row.append(cell.error or "error")
+                row.append(cell.error)
             else:
                 for name in _SUMMARY_FIELDS:
                     value = getattr(cell.summary, name)
                     row.append(format(value, ".17g") if isinstance(value, float) else str(value))
-                if cell.error:
-                    row.append(cell.error)
-                elif cell.summary.aborted:
+                if cell.summary.aborted:
                     row.append(f"aborted: {cell.summary.abort_reason}")
                 else:
                     row.append("ok")
             writer.writerow(row)
-    failures = sum(1 for c in results if c.summary is None or c.error)
+    failures = sum(1 for c in results if c.summary is None)
     print(f"sweep: {len(results)} cells ({failures} failed) -> {out_path}")
     return EXIT_OK
 
@@ -266,7 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as err:  # raised only while reading inputs, before anything runs
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

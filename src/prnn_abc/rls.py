@@ -14,7 +14,6 @@ adaptive controller rebuilds its QP coefficients from those estimates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,71 +101,40 @@ def update(s: RlsState, pi: np.ndarray, y: float) -> RlsState:
     return RlsState(theta_hat=theta, M=m_next, k=s.k + 1)
 
 
-@dataclass(frozen=True)
-class EstimatedPhysical:
-    """Physical quantities recovered from theta_hat."""
-
-    l_hat: float
-    m_sum_hat: float  # m_c + m estimate
-    m_hat: float
-
-    def physical(self) -> bool:
-        """True when the estimates describe a realizable pendulum."""
-        return (
-            self.l_hat > 0
-            and self.m_hat > 0
-            and self.m_sum_hat > self.m_hat
-        )
-
-    def params(self, g: float) -> PendulumParams:
-        return PendulumParams(
-            g=g, m_c=self.m_sum_hat - self.m_hat, m=self.m_hat, l=self.l_hat
-        )
-
-
-def extract_physical(theta_hat: np.ndarray) -> EstimatedPhysical:
+def extract_physical(theta_hat: np.ndarray, g: float) -> PendulumParams | None:
     """Invert the theta definition: l = 1/theta2, m_c+m = theta2/theta3, m = theta1*(m_c+m).
 
-    Raises NotYetIdentifiableError while theta2 or theta3 sit below the
-    identifiability floor; callers fall back to the last valid or nominal
-    parameters in that case.
+    Returns None when the estimates describe no realizable pendulum.  Raises
+    NotYetIdentifiableError while theta2 or theta3 sit below the
+    identifiability floor; the loop then keeps its last model.
     """
     t1, t2, t3 = (float(v) for v in theta_hat)
     if t2 <= IDENTIFIABILITY_EPS or t3 <= IDENTIFIABILITY_EPS:
         raise NotYetIdentifiableError(
             f"theta2={t2:.3e}, theta3={t3:.3e} below identifiability floor"
         )
-    l_hat = 1.0 / t2
     m_sum = t2 / t3
-    return EstimatedPhysical(l_hat=l_hat, m_sum_hat=m_sum, m_hat=t1 * m_sum)
+    m = t1 * m_sum
+    try:
+        return PendulumParams(g=g, m_c=m_sum - m, m=m, l=1.0 / t2)
+    except ValueError:
+        return None
 
 
 def adaptive_coefficients(
-    est: EstimatedPhysical,
+    params: PendulumParams,
     state: PlantState,
     e: ErrorCoords,
     ddx1d: float,
     gains: Gains,
     weights: Weights,
     bounds: tuple[float, float],
-    nominal: PendulumParams,
 ) -> QpCoefficients:
     """QP coefficients rebuilt from estimated physical parameters.
 
     Uses the same assembly as the known-parameter path but with A, B evaluated
-    at the estimated (m, m_c, l) and the known g.  Nonphysical estimates fall
-    back to the nominal parameters with a warning.
+    at the estimated (m, m_c, l) and the known g.
     """
-    if est.physical():
-        params = est.params(nominal.g)
-    else:
-        # static message so repeated fallbacks deduplicate to one warning;
-        # runs flag the condition in their summary as well
-        warnings.warn(
-            "nonphysical parameter estimate; falling back to nominal parameters",
-            stacklevel=2,
-        )
-        params = nominal
     a_hat = drift_term(params, state)
     b_hat = gain_term(params, state)
     return assemble(a_hat, b_hat, e, ddx1d, gains, weights, bounds)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -152,20 +153,6 @@ def checked_value(path: str, value, like):
     return number
 
 
-def _replace_key(s: Scenario, path: str, value) -> Scenario:
-    """`s` with the key at file path `path` (`gains.c1`, `seed`) set to `value`."""
-    section, _, key = path.rpartition(".")
-    if section == "bounds":
-        bounds = list(s.bounds)
-        bounds[BOUND_KEYS.index(key)] = checked_value(path, value, 0.0)
-        return replace(s, bounds=tuple(bounds))
-    if not section:
-        return replace(s, **{key: checked_value(path, value, getattr(Scenario(), key))})
-    like = getattr(getattr(Scenario(), section), key)
-    node = replace(getattr(s, section), **{key: checked_value(path, value, like)})
-    return replace(s, **{section: node})
-
-
 def default_scenario() -> Scenario:
     """Bundled stabilization scenario: blend the angle from 0.1 rad to upright."""
     return Scenario(
@@ -282,7 +269,7 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
     nonphysical = False
 
     rls_state = rls.initial_state(initial_theta(sc), sc.rls.m0_scale) if adaptive else None
-    est: rls.EstimatedPhysical | None = None
+    model: PendulumParams | None = None  # the controller's estimated plant; None: nominal terms
     prev: tuple[PlantState, float] | None = None  # state and applied u, one period ago
 
     for k in range(timing.control_steps):
@@ -308,17 +295,21 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
 
             if adaptive and k >= sc.rls.warmup_steps:
                 try:
-                    est = rls.extract_physical(rls_state.theta_hat)
+                    model = rls.extract_physical(rls_state.theta_hat, sc.params.g)
                 except rls.NotYetIdentifiableError:
-                    pass  # keep the last valid estimate, nominal if none yet
-                if est is not None and not est.physical():
-                    nonphysical = True
-            # est is only ever set from the warm-up step on, and then kept
-            if est is not None:
+                    pass  # keep the last model
+                else:
+                    if model is None:
+                        nonphysical = True
+                        # static message, so repeated fallbacks deduplicate to one warning
+                        warnings.warn(
+                            "nonphysical parameter estimate; falling back to nominal parameters"
+                        )
+            if model is not None:
                 coeffs = rls.adaptive_coefficients(
-                    est, state, e, refs[2], sc.gains, sc.weights, sc.bounds, sc.params
+                    model, state, e, refs[2], sc.gains, sc.weights, sc.bounds
                 )
-            else:
+            else:  # not adaptive, warming up, or the estimate is not physical
                 coeffs = qp.assemble(a, b, e, refs[2], sc.gains, sc.weights, sc.bounds)
 
             if exact:
@@ -473,21 +464,38 @@ GRID_KEYS = {
 
 
 def apply_grid_point(base: Scenario, coords: dict[str, float]) -> Scenario:
+    """`base` with the axes of one sweep cell applied together, so their order does not matter.
+
+    Each value is checked on its own; each section is then rebuilt once, so
+    its own checks see the whole cell.
+    """
     clash = [key for key in ("u_min", "u_max") if key in coords and "bound" in coords]
     if clash:  # in either order, one of the two axes would silently override the other
         raise ValueError(f"sweep parameters 'bound' and {clash[0]!r} both set bounds.{clash[0]}")
-    scenario = base
-    for key, value in coords.items():
-        if key == "bound":
+    defaults = Scenario()
+    sections: dict[str, dict] = {}  # section ("" for top-level keys) -> {key: value}
+    for name, value in coords.items():
+        if name == "bound":
             v = abs(checked_value("bounds.u_max", value, 0.0))
-            scenario = replace(scenario, bounds=(-v, v))
-        elif key in GRID_KEYS:
-            scenario = _replace_key(scenario, GRID_KEYS[key], value)
+            sections["bounds"] = {"u_min": -v, "u_max": v}
+        elif name in GRID_KEYS:
+            path = GRID_KEYS[name]
+            section, _, key = path.rpartition(".")
+            node = getattr(defaults, section) if section else defaults
+            like = 0.0 if section == "bounds" else getattr(node, key)
+            sections.setdefault(section, {})[key] = checked_value(path, value, like)
         else:
             raise ValueError(
-                f"unknown sweep parameter {key!r}; supported: {sorted([*GRID_KEYS, 'bound'])}"
+                f"unknown sweep parameter {name!r}; supported: {sorted([*GRID_KEYS, 'bound'])}"
             )
-    return scenario
+    changes = sections.pop("", {})
+    for section, values in sections.items():
+        if section == "bounds":
+            bounds = {**dict(zip(BOUND_KEYS, base.bounds)), **values}
+            changes["bounds"] = tuple(bounds[key] for key in BOUND_KEYS)
+        else:
+            changes[section] = replace(getattr(base, section), **values)
+    return replace(base, **changes)
 
 
 @dataclass(frozen=True)
@@ -516,32 +524,23 @@ def sweep(
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("sweep grid must name at least one parameter with values")
     keys = list(grid)
-    cells = [dict(zip(keys, combo)) for combo in itertools.product(*grid.values())]
-
     prepared: list[tuple[dict, Scenario | None, str]] = []
-    for coords in cells:
+    for combo in itertools.product(*grid.values()):
+        coords = dict(zip(keys, combo))
         try:
             prepared.append((coords, apply_grid_point(base, coords), ""))
         except Exception as err:
             prepared.append((coords, None, f"{type(err).__name__}: {err}"))
 
-    runnable = [(i, sc) for i, (_, sc, _) in enumerate(prepared) if sc is not None]
-    outcomes: dict[int, tuple[RunSummary | None, str]] = {}
+    runnable = [sc for _, sc, _ in prepared if sc is not None]
     if max_workers > 1 and len(runnable) > 1:
         # the pool forks all of its workers at the first submit, so never ask
         # for more than there are cells
         with ProcessPoolExecutor(max_workers=min(max_workers, len(runnable))) as pool:
-            for (i, _), result in zip(runnable, pool.map(_run_cell, [sc for _, sc in runnable])):
-                outcomes[i] = result
+            outcomes = iter(list(pool.map(_run_cell, runnable)))
     else:
-        for i, sc in runnable:
-            outcomes[i] = _run_cell(sc)
-
-    results = []
-    for i, (coords, sc, err) in enumerate(prepared):
-        if sc is None:
-            results.append(SweepResult(coords=coords, summary=None, error=err))
-        else:
-            summary, run_err = outcomes[i]
-            results.append(SweepResult(coords=coords, summary=summary, error=run_err))
-    return results
+        outcomes = map(_run_cell, runnable)
+    return [
+        SweepResult(coords, None, err) if sc is None else SweepResult(coords, *next(outcomes))
+        for coords, sc, err in prepared
+    ]

@@ -5,12 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prnn_abc.backstepping import ErrorCoords, Gains
+from prnn_abc.backstepping import ErrorCoords, Gains, error_coords, reference_at
 from prnn_abc.plant import PendulumParams, PlantState, derivatives, drift_term, gain_term
 from prnn_abc import rls, sim
 from prnn_abc.qp import Weights, assemble
 from prnn_abc.rls import (
-    EstimatedPhysical,
     NotYetIdentifiableError,
     RlsState,
     adaptive_coefficients,
@@ -186,34 +185,33 @@ def test_innovation_mean_square_nonincreasing():
 
 
 def test_extract_physical_truth():
-    est = extract_physical(THETA_TRUE)
-    assert est.l_hat == pytest.approx(0.5, rel=1e-12)
-    assert est.m_sum_hat == pytest.approx(1.1, rel=1e-12)
-    assert est.m_hat == pytest.approx(0.1, rel=1e-12)
-    assert est.physical()
+    model = extract_physical(THETA_TRUE, 9.8)
+    assert model.g == 9.8
+    assert model.l == pytest.approx(0.5, rel=1e-12)
+    assert model.m_c + model.m == pytest.approx(1.1, rel=1e-12)
+    assert model.m == pytest.approx(0.1, rel=1e-12)
 
 
 def test_extract_physical_zero_mass_flagged():
-    est = extract_physical(np.array([0.0, 2.0, 2.0]))
-    assert est.l_hat == pytest.approx(0.5)
-    assert est.m_sum_hat == pytest.approx(1.0)
-    assert est.m_hat == 0.0
-    assert not est.physical()
+    # l = 0.5 and m_c + m = 1.0, but m = 0: no realizable pendulum
+    assert extract_physical(np.array([0.0, 2.0, 2.0]), 9.8) is None
+    # m = 1.2 exceeds m_c + m = 1.0, so m_c < 0
+    assert extract_physical(np.array([1.2, 2.0, 2.0]), 9.8) is None
 
 
 def test_extract_physical_guard():
     with pytest.raises(NotYetIdentifiableError):
-        extract_physical(np.array([0.1, 1e-9, 2.0]))
+        extract_physical(np.array([0.1, 1e-9, 2.0]), 9.8)
     with pytest.raises(NotYetIdentifiableError):
-        extract_physical(np.array([0.1, 2.0, -0.5]))
+        extract_physical(np.array([0.1, 2.0, -0.5]), 9.8)
 
 
 def test_adaptive_coefficients_match_nominal_at_truth():
-    est = extract_physical(THETA_TRUE)
+    model = extract_physical(THETA_TRUE, PARAMS.g)
     state = PlantState(0.12, -0.4)
     e = ErrorCoords(s1=0.12, s2=-0.2, gamma1=-0.24)
     gains, weights = Gains(2.0, 2.0), Weights(100.0, 0.01)
-    hat = adaptive_coefficients(est, state, e, 0.1, gains, weights, BOUNDS, PARAMS)
+    hat = adaptive_coefficients(model, state, e, 0.1, gains, weights, BOUNDS)
     ref = assemble(
         drift_term(PARAMS, state), gain_term(PARAMS, state), e, 0.1, gains, weights, BOUNDS
     )
@@ -224,11 +222,11 @@ def test_adaptive_coefficients_match_nominal_at_truth():
 def test_adaptive_coefficients_doubled_length():
     # hand evaluation at upright rest with l doubled: A=0 so P=0, and
     # Q = T * B_hat^2 + R with B_hat = (1/1.1) / (1.0 * (4/3 - 0.1/1.1))
-    est = EstimatedPhysical(l_hat=1.0, m_sum_hat=1.1, m_hat=0.1)
+    model = PendulumParams(m_c=1.0, m=0.1, l=1.0)
     state = PlantState(0.0, 0.0)
     e = ErrorCoords(0.0, 0.0, 0.0)
     hat = adaptive_coefficients(
-        est, state, e, 0.0, Gains(2.0, 2.0), Weights(100.0, 0.01), BOUNDS, PARAMS
+        model, state, e, 0.0, Gains(2.0, 2.0), Weights(100.0, 0.01), BOUNDS
     )
     b_hat = (1.0 / 1.1) / (1.0 * (4.0 / 3.0 - 0.1 / 1.1))
     assert hat.P == 0.0
@@ -236,16 +234,56 @@ def test_adaptive_coefficients_doubled_length():
 
 
 def test_adaptive_coefficients_nonphysical_fallback():
-    est = EstimatedPhysical(l_hat=0.5, m_sum_hat=1.0, m_hat=0.0)
-    state = PlantState(0.05, 0.1)
-    e = ErrorCoords(0.05, 0.2, -0.1)
-    gains, weights = Gains(2.0, 2.0), Weights(100.0, 0.01)
+    # theta1 < 0 means m < 0, and the gate keeps the estimate there for the
+    # whole run: every period falls back to the nominal QP of the plain run
+    base = replace(sim.default_scenario(), timing=replace(sim.Timing(), duration=0.5))
+    options = replace(base.rls, warmup_steps=0, theta0=(-0.05, 2.0, 1.8), excitation_gate=1e3)
     with pytest.warns(UserWarning, match="nonphysical"):
-        hat = adaptive_coefficients(est, state, e, 0.0, gains, weights, BOUNDS, PARAMS)
-    ref = assemble(
-        drift_term(PARAMS, state), gain_term(PARAMS, state), e, 0.0, gains, weights, BOUNDS
+        trace, summary = sim.run(replace(base, adaptive=True, rls=options))
+    nominal, _ = sim.run(base)
+    assert summary.nonphysical_estimate
+    assert len(trace) == len(nominal) == 50
+    assert [(r.P, r.Q, r.u) for r in trace] == [(r.P, r.Q, r.u) for r in nominal]
+
+
+def test_unidentifiable_period_keeps_the_last_model(monkeypatch):
+    scenario = replace(
+        sim.sinusoid_scenario(),
+        adaptive=True,
+        seed=1,
+        rls=replace(sim.RlsOptions(), warmup_steps=0),
+        timing=replace(sim.Timing(), duration=1.0),
     )
-    assert hat == ref
+    extract = rls.extract_physical
+    models, fresh = [], []  # model the loop holds, and the fresh extraction, per period
+
+    def every_other_unidentifiable(theta_hat, g):
+        model = extract(theta_hat, g)
+        fresh.append(model)
+        if len(fresh) % 2 == 0:
+            models.append(models[-1])
+            raise NotYetIdentifiableError("test: period skipped")
+        models.append(model)
+        return model
+
+    monkeypatch.setattr(sim.rls, "extract_physical", every_other_unidentifiable)
+    trace, summary = sim.run(scenario)
+    assert not summary.aborted and len(trace) == len(models) == 100
+
+    def coefficients(model, r):
+        refs = reference_at(scenario.reference, r.t)
+        state = PlantState(r.x1, r.x2)
+        e = error_coords(state, refs, scenario.gains)
+        c = adaptive_coefficients(
+            model, state, e, refs[2], scenario.gains, scenario.weights, scenario.bounds
+        )
+        return c.P, c.Q
+
+    for r, model in zip(trace, models):
+        assert (r.P, r.Q) == coefficients(model, r)
+    # the skipped periods really did use a stale model
+    skipped = list(zip(trace, fresh))[1::2]
+    assert any((r.P, r.Q) != coefficients(model, r) for r, model in skipped)
 
 
 def test_initial_state_validation():

@@ -1,6 +1,7 @@
 """Closed-loop runs, Lyapunov monitoring, and parameter sweeps."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -467,6 +468,23 @@ def test_grid_bound_clashes_with_either_side(side):
             apply_grid_point(STABILIZE, coords)
     cells = sweep(STABILIZE, {side: [5.0], "bound": [1.0]})
     assert cells[0].summary is None and "'bound'" in cells[0].error
+
+
+@pytest.mark.parametrize(
+    "cell, field, want",
+    [
+        ({"u_max": -40.0, "u_min": -50.0}, "bounds", (-50.0, -40.0)),
+        ({"u_min": 40.0, "u_max": 50.0}, "bounds", (40.0, 50.0)),
+        ({"R": 200.0, "T": 1000.0}, "weights", sim.Weights(T=1000.0, R=200.0)),
+    ],
+)
+def test_grid_cell_axes_apply_together(cell, field, want):
+    # applied one axis at a time, the first order checked a half-applied cell:
+    # bounds (-30, -40) or (40, 30), or weights T=100, R=200, which warns
+    for coords in (cell, dict(reversed(cell.items()))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert getattr(apply_grid_point(STABILIZE, coords), field) == want
 
 
 def test_duration_must_give_one_control_step():
