@@ -22,7 +22,6 @@ from .plant import (
     DisturbanceSpec,
     PendulumParams,
     PlantState,
-    derivatives,
     drift_term,
     gain_term,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "Weights",
     "assemble",
     "default_scenario",
-    "derivatives",
     "drift_term",
     "error_coords",
     "exact_feedback",

@@ -113,13 +113,6 @@ def ideal_v2_dot(e: ErrorCoords, gains: Gains) -> float:
     return -gains.c1 * e.s1**2 - gains.c2 * e.s2**2
 
 
-def s2_rate(
-    a: float, b: float, u: float, ddx1d: float, e: ErrorCoords, gains: Gains
-) -> float:
-    """Closed-form dS2/dt = A + B*u - ddx1d + c1*S2 - c1^2*S1."""
-    return a + b * u - ddx1d + gains.c1 * e.s2 - gains.c1**2 * e.s1
-
-
 def stabilizing_target(a: float, ddx1d: float, e: ErrorCoords, gains: Gains) -> float:
     """A - ddx1d + (c1+c2)*S2 + (1-c1^2)*S1; the stabilizing condition is B*u = -target."""
     return a - ddx1d + (gains.c1 + gains.c2) * e.s2 + (1.0 - gains.c1**2) * e.s1

@@ -90,12 +90,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     trace, summary = sim.run(scenario)
     traceio.write_trace(out_dir / "trace.csv", trace)
-    payload = {
-        k: (None if isinstance(v, float) and math.isnan(v) else v)
+    payload = {  # JSON has no NaN or infinity
+        k: (None if isinstance(v, float) and not math.isfinite(v) else v)
         for k, v in dataclasses.asdict(summary).items()
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     with open(out_dir / "scenario.yaml", "w", encoding="utf-8") as fh:
         fh.write(dumps_scenario(scenario))

@@ -117,8 +117,3 @@ def load_scenario(path) -> Scenario:
 
 def dumps_scenario(s: Scenario) -> str:
     return yaml.safe_dump(scenario_to_dict(s), sort_keys=False)
-
-
-def save_scenario(path, s: Scenario) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_scenario(s))

@@ -14,10 +14,6 @@ import struct
 from dataclasses import dataclass
 
 
-class DomainError(ValueError):
-    """A dynamics evaluation received a non-finite input."""
-
-
 class IntegrationBlowupError(RuntimeError):
     """A plant step produced a non-finite state."""
 
@@ -103,12 +99,6 @@ def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
     return spec.amplitude * ((z >> 11) * 2.0**-52 - 1.0)
 
 
-def _check_finite(**values: float) -> None:
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite {name}: {v!r}")
-
-
 def _denominator(params: PendulumParams, x1: float) -> float:
     # bounded away from 0 for any physical parameters with m < 3(m_c+m)/4
     m_sum = params.m_c + params.m
@@ -117,7 +107,6 @@ def _denominator(params: PendulumParams, x1: float) -> float:
 
 def drift_term(params: PendulumParams, state: PlantState) -> float:
     """Control-free part A(x) of the angular acceleration."""
-    _check_finite(x1=state.x1, x2=state.x2)
     m_sum = params.m_c + params.m
     num = (
         params.g * math.sin(state.x1)
@@ -128,19 +117,8 @@ def drift_term(params: PendulumParams, state: PlantState) -> float:
 
 def gain_term(params: PendulumParams, state: PlantState) -> float:
     """Input gain B(x) multiplying the force u in the acceleration."""
-    _check_finite(x1=state.x1, x2=state.x2)
     m_sum = params.m_c + params.m
     return (math.cos(state.x1) / m_sum) / _denominator(params, state.x1)
-
-
-def derivatives(
-    params: PendulumParams, state: PlantState, u: float, d: float = 0.0
-) -> tuple[float, float]:
-    """State derivative (dx1, dx2) = (x2, A + B*u + d)."""
-    _check_finite(u=u, d=d)
-    a = drift_term(params, state)
-    b = gain_term(params, state)
-    return state.x2, a + b * u + d
 
 
 def step(
@@ -158,21 +136,22 @@ def step(
     t + i*dt; the disturbance is sampled at its RK4 stage times t_i,
     t_i + dt/2 (shared by k2 and k3) and t_i + dt, except that the
     time-invariant kinds are sampled once per call.  Raises
-    IntegrationBlowupError, naming the failing step's time, as soon as a step
-    leaves the finite range.
+    IntegrationBlowupError, naming the time, for a non-finite u and as soon as
+    a step leaves the finite range.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    _check_finite(u=u)
+    if not math.isfinite(u):
+        raise IntegrationBlowupError(f"non-finite force u={u!r} at t={t:.6f}")
     g, m, l = params.g, params.m, params.l
     m_sum = params.m_c + m
     ml = m * l
 
     def accel(x1: float, x2: float, d: float) -> float:
-        # drift_term + gain_term * u + d with their exact expression order,
-        # so traces match derivatives() bit for bit
+        # drift_term + gain_term * u + d with their exact expression order, so
+        # a step matches textbook RK4 over those terms bit for bit
         s, c = math.sin(x1), math.cos(x1)
         den = l * (4.0 / 3.0 - m * c**2 / m_sum)
         return (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d
@@ -208,15 +187,3 @@ def step(
         if not (math.isfinite(x1) and math.isfinite(x2)):
             raise IntegrationBlowupError(f"plant state became non-finite at t={ti + dt:.6f}")
     return PlantState(x1, x2)
-
-
-def mechanical_energy(params: PendulumParams, state: PlantState) -> float:
-    """Energy-like invariant of the unforced angle dynamics.
-
-    E = 1/2 * [(4/3) l (m_c+m) - m l cos^2 x1] * x2^2 + g (m_c+m) cos x1
-    is exactly conserved by the continuous model when u = d = 0, which makes
-    its drift a direct measure of integration error.
-    """
-    m_sum = params.m_c + params.m
-    inertia = (4.0 / 3.0) * params.l * m_sum - params.m * params.l * math.cos(state.x1) ** 2
-    return 0.5 * inertia * state.x2**2 + params.g * m_sum * math.cos(state.x1)

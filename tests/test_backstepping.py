@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import s2_rate
 from prnn_abc.backstepping import (
     ErrorCoords,
     Gains,
@@ -14,7 +15,6 @@ from prnn_abc.backstepping import (
     ideal_v2_dot,
     lyapunov_v2,
     reference_at,
-    s2_rate,
 )
 from prnn_abc.plant import PlantState
 

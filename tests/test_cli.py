@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import save_scenario
 from prnn_abc.cli import main
-from prnn_abc.config import save_scenario
 from prnn_abc.plant import PlantState
 from prnn_abc.sim import Scenario, Timing, default_scenario
 from prnn_abc.traceio import TRACE_COLUMNS, read_trace
@@ -179,14 +179,20 @@ def test_verify_scenario_adds_monitor_to_all_criteria(quick_config, capsys):
     assert out.rstrip().endswith("11/11 suites passed")
 
 
+def _sweep_rows(tmp_path, config, *grid):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(config), "--out", str(out)]
+    for spec in grid:
+        argv += ["--grid", spec]
+    assert main(argv) == 0
+    with open(out / "sweep.csv", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_sweep_single_cell_matches_simulate(tmp_path, quick_config):
     sim_out = tmp_path / "sim"
-    sweep_out = tmp_path / "sweep"
     assert main(["simulate", "--config", str(quick_config), "--out", str(sim_out)]) == 0
-    assert main(["sweep", "--config", str(quick_config), "--grid", "vartheta=50",
-                 "--out", str(sweep_out)]) == 0
-    with open(sweep_out / "sweep.csv", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _sweep_rows(tmp_path, quick_config, "vartheta=50")
     assert len(rows) == 1
     assert rows[0]["status"] == "ok"
     summary = json.loads((sim_out / "summary.json").read_text())
@@ -194,12 +200,7 @@ def test_sweep_single_cell_matches_simulate(tmp_path, quick_config):
 
 
 def test_sweep_grid_and_failures_recorded(tmp_path, quick_config):
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--config", str(quick_config),
-                 "--grid", "c1=-1,2", "--grid", "R=0.1,0.01", "--out", str(out)])
-    assert code == 0
-    with open(out / "sweep.csv", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _sweep_rows(tmp_path, quick_config, "c1=-1,2", "R=0.1,0.01")
     assert len(rows) == 4
     assert rows[0]["status"].startswith("ValueError")
     assert rows[2]["status"] == "ok"
@@ -229,11 +230,7 @@ def test_sweep_requires_grid(tmp_path, quick_config):
 
 def test_sweep_thread_env(tmp_path, quick_config, monkeypatch):
     monkeypatch.setenv("PRNN_ABC_THREADS", "2")
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(quick_config), "--grid", "vartheta=25,50",
-                 "--out", str(out)]) == 0
-    with open(out / "sweep.csv", encoding="utf-8") as fh:
-        assert len(list(csv.DictReader(fh))) == 2
+    assert len(_sweep_rows(tmp_path, quick_config, "vartheta=25,50")) == 2
 
 
 # each of these used to end in a traceback, a clean-looking exit-0 trace, or
@@ -276,6 +273,21 @@ def test_simulate_open_bounds_run_cleanly(tmp_path, capsys):
     assert "u_min: -.inf" in (out / "scenario.yaml").read_text()
 
 
+def test_simulate_infinite_metric_is_json_null(tmp_path):
+    # with open bounds an enormous gain drives u so large that u**2 overflows
+    path = tmp_path / "huge.yaml"
+    path.write_text("bounds: {u_min: -.inf, u_max: .inf}\ngains: {c1: 1.0e+100, c2: 1.0}\n"
+                    "timing: {duration: 0.05}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+
+    def strict(constant):
+        raise ValueError(f"summary.json holds {constant}, which is not JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+    assert summary["control_effort"] is None
+
+
 def test_simulate_covariance_loss_is_an_abort(tmp_path, capsys):
     # a huge initial covariance loses positive definiteness in the first updates
     path = tmp_path / "m0.yaml"
@@ -291,16 +303,6 @@ def test_simulate_covariance_loss_is_an_abort(tmp_path, capsys):
     assert summary["aborted"] is True
     assert "covariance M has lost positive definiteness at t=" in summary["abort_reason"]
     assert "run aborted:" in capsys.readouterr().err
-
-
-def _sweep_rows(tmp_path, config, *grid):
-    out = tmp_path / "sweep"
-    argv = ["sweep", "--config", str(config), "--out", str(out)]
-    for spec in grid:
-        argv += ["--grid", spec]
-    assert main(argv) == 0
-    with open(out / "sweep.csv", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 def test_sweep_non_integral_seed_is_cell_error(tmp_path, quick_config):

@@ -3,12 +3,12 @@
 import pytest
 import yaml
 
+from oracles import save_scenario
 from prnn_abc.config import (
     ConfigError,
     dumps_scenario,
     load_scenario,
     parse_scenario,
-    save_scenario,
     scenario_to_dict,
 )
 from prnn_abc.sim import Scenario, default_scenario, sinusoid_scenario
@@ -172,51 +172,13 @@ seed: 0
 settle_tol: 0.01
 """
 
-SINUSOID_YAML = """\
-params:
-  g: 9.8
-  m_c: 1.0
-  m: 0.1
-  l: 0.5
-initial:
-  x1: 0.0
-  x2: 0.0
-reference:
-  kind: sinusoid
-  setpoint: 0.0
-  amplitude: 0.5
-  frequency: 0.5
-  ramp_time: 0.0
-  start: 0.0
-disturbance:
-  kind: none
-  amplitude: 0.0
-  frequency: 0.0
-  seed: 0
-gains:
-  c1: 2.0
-  c2: 2.0
-weights:
-  T: 100.0
-  R: 0.01
-bounds:
-  u_min: -30.0
-  u_max: 30.0
-timing:
-  plant_dt: 0.001
-  control_period: 0.01
-  duration: 5.0
-prnn:
-  vartheta: 50.0
-rls:
-  theta0_perturbation: 0.3
-  m0_scale: 100.0
-  warmup_steps: 50
-  excitation_gate: 1.0e-08
-adaptive: false
-seed: 0
-settle_tol: 0.01
-"""
+# the bundled sinusoid scenario differs from the default only in `initial` and `reference`
+SINUSOID_YAML = (
+    DEFAULT_YAML.replace("x1: 0.1", "x1: 0.0")
+    .replace("kind: smoothstep", "kind: sinusoid")
+    .replace("amplitude: 0.0\n  frequency: 0.0\n  ramp_time: 2.0\n  start: 0.1",
+             "amplitude: 0.5\n  frequency: 0.5\n  ramp_time: 0.0\n  start: 0.0")
+)
 
 
 def test_dump_of_bundled_scenarios_is_pinned():

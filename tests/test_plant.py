@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 
 import prnn_abc.plant as plant_module
+from oracles import derivatives, mechanical_energy
 from prnn_abc.plant import (
     DisturbanceSpec,
-    DomainError,
     IntegrationBlowupError,
     PendulumParams,
     PlantState,
-    derivatives,
     disturbance_value,
     drift_term,
     gain_term,
-    mechanical_energy,
     step,
 )
 
@@ -136,13 +134,11 @@ def test_rewritten_acceleration_identity():
         assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(lhs))
 
 
-def test_non_finite_inputs_rejected():
-    with pytest.raises(DomainError):
-        drift_term(PARAMS, PlantState(math.nan, 0.0))
-    with pytest.raises(DomainError):
-        gain_term(PARAMS, PlantState(0.0, math.inf))
-    with pytest.raises(DomainError):
-        derivatives(PARAMS, PlantState(0.0, 0.0), math.nan)
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_step_non_finite_force_is_blowup_naming_u_and_t(u):
+    with pytest.raises(IntegrationBlowupError) as info:
+        step(PARAMS, PlantState(0.1, 0.0), u, NO_DIST, 0.25, 0.001, 10)
+    assert str(info.value) == f"non-finite force u={u!r} at t=0.250000"
 
 
 def test_step_fixed_point_at_origin():
@@ -220,7 +216,7 @@ def test_step_blowup_from_infinite_stage_angle():
 
 
 def _reference_step(state, u, spec, t, dt):
-    """Textbook RK4 over the public derivatives, sampling d at all four stages."""
+    """Textbook RK4 over the oracle derivatives, sampling d at all four stages."""
 
     def f(x1, x2, ts):
         return derivatives(PARAMS, PlantState(x1, x2), u, disturbance_value(spec, ts))

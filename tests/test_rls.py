@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import derivatives
 from prnn_abc.backstepping import ErrorCoords, Gains, error_coords, reference_at
-from prnn_abc.plant import PendulumParams, PlantState, derivatives, drift_term, gain_term
+from prnn_abc.plant import PendulumParams, PlantState, drift_term, gain_term
 from prnn_abc import rls, sim
 from prnn_abc.qp import Weights, assemble
 from prnn_abc.rls import (

@@ -9,7 +9,7 @@ import pytest
 
 import prnn_abc.plant as plant_module
 from prnn_abc import sim
-from prnn_abc.backstepping import ReferenceSignal
+from prnn_abc.backstepping import Gains, ReferenceSignal
 from prnn_abc.plant import DisturbanceSpec, PlantState
 from prnn_abc.prnn import PrnnConfig
 from prnn_abc.qp import QpCoefficients
@@ -30,6 +30,8 @@ STABILIZE = Scenario(
     reference=ReferenceSignal(kind="constant", setpoint=0.0),
     timing=Timing(plant_dt=0.001, control_period=0.01, duration=2.0),
 )
+# a +-2 N box that binds while the loop catches the pendulum from 0.15 rad
+SATURATING = replace(STABILIZE, initial=PlantState(0.15, 0.0), bounds=(-2.0, 2.0))
 
 
 def _theta(r):
@@ -45,12 +47,14 @@ def test_scenario_validation():
         Scenario(timing=Timing(duration=-1.0))
 
 
+@pytest.mark.parametrize("initial", [PlantState(math.nan, 0.0), PlantState(0.0, -math.inf)])
+def test_scenario_rejects_non_finite_initial_state(initial):
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        Scenario(initial=initial)
+
+
 def test_equilibrium_start_stays_on_reference():
-    scenario = replace(
-        STABILIZE,
-        initial=PlantState(0.0, 0.0),
-        timing=Timing(plant_dt=0.001, control_period=0.01, duration=5.0),
-    )
+    scenario = replace(STABILIZE, initial=PlantState(0.0, 0.0), timing=Timing(0.001, 0.01, 5.0))
     trace, summary = run(scenario)
     assert not summary.aborted
     assert summary.max_abs_s1 < 1e-6
@@ -94,12 +98,7 @@ def test_seed_changes_adaptive_run():
 
 def test_adaptive_tracking_with_perturbed_estimate():
     # excited run: estimates converge and tracking is preserved
-    scenario = replace(
-        sinusoid_scenario(),
-        adaptive=True,
-        seed=3,
-        timing=Timing(0.001, 0.01, 5.0),
-    )
+    scenario = replace(sinusoid_scenario(), adaptive=True, seed=3, timing=Timing(0.001, 0.01, 5.0))
     trace, summary = run(scenario)
     assert not summary.aborted
     assert summary.final_theta_error < 0.05
@@ -113,12 +112,8 @@ def test_adaptive_tracking_with_perturbed_estimate():
 
 def test_abort_when_leaving_half_plane():
     # powerless controller cannot catch a large initial angle
-    scenario = replace(
-        STABILIZE,
-        initial=PlantState(1.4, 0.0),
-        bounds=(-0.05, 0.05),
-        timing=Timing(0.001, 0.01, 5.0),
-    )
+    scenario = replace(STABILIZE, initial=PlantState(1.4, 0.0), bounds=(-0.05, 0.05),
+                       timing=Timing(0.001, 0.01, 5.0))
     trace, summary = run(scenario)
     assert summary.aborted
     assert "pi/2" in summary.abort_reason
@@ -147,10 +142,7 @@ def test_each_period_is_one_plant_step_call(monkeypatch, law):
 
 
 def test_exact_baseline_tracks_ideal_v2_rate():
-    scenario = replace(
-        STABILIZE,
-        timing=Timing(plant_dt=0.001, control_period=0.001, duration=2.0),
-    )
+    scenario = replace(STABILIZE, timing=Timing(0.001, 0.001, 2.0))
     trace, summary = run_exact_baseline(scenario)
     assert not summary.aborted
     dt = scenario.timing.control_period
@@ -162,12 +154,10 @@ def test_exact_baseline_tracks_ideal_v2_rate():
 def test_s2_rate_closed_form_matches_trajectory():
     # compare the finite-difference dS2/dt against the closed form
     # A + B*u - ddx1d + c1*S2 - c1^2*S1 along an exact-feedback run
-    from prnn_abc.backstepping import ErrorCoords, reference_at, s2_rate
+    from oracles import s2_rate
+    from prnn_abc.backstepping import ErrorCoords, reference_at
 
-    scenario = replace(
-        STABILIZE,
-        timing=Timing(plant_dt=0.001, control_period=0.001, duration=2.0),
-    )
+    scenario = replace(STABILIZE, timing=Timing(0.001, 0.001, 2.0))
     trace, _ = run_exact_baseline(scenario)
     dt = scenario.timing.control_period
     worst = 0.0
@@ -202,6 +192,14 @@ def test_exact_baseline_aborts_when_input_gain_vanishes():
     assert "t=0.000000" in summary.abort_reason
 
 
+def test_exact_baseline_overflowing_feedback_aborts():
+    # (c1 + c2)*S2 overflows to inf, so the exact force is -inf: an abort, not a raise
+    trace, summary = run_exact_baseline(replace(Scenario(), gains=Gains(c1=1.3e154, c2=1e300)))
+    assert summary.aborted
+    assert summary.abort_reason == "non-finite force u=-inf at t=0.000000"
+    assert len(trace) == 1
+
+
 def test_exact_baseline_ignores_adaptive_flag():
     nominal = replace(sinusoid_scenario(), seed=3, timing=Timing(0.001, 0.01, 1.0))
     trace_a, summary_a = run_exact_baseline(replace(nominal, adaptive=True))
@@ -222,24 +220,15 @@ def test_monitor_clean_on_baseline_and_prnn():
 
 
 def test_monitor_flags_disturbed_run():
-    scenario = replace(
-        STABILIZE,
-        disturbance=DisturbanceSpec(kind="constant", amplitude=2.0),
-        timing=Timing(0.001, 0.01, 3.0),
-    )
+    disturbance = DisturbanceSpec(kind="constant", amplitude=2.0)
+    scenario = replace(STABILIZE, disturbance=disturbance, timing=Timing(0.001, 0.01, 3.0))
     trace, summary = run(scenario)
     assert not summary.aborted  # robustness probe completes
     assert len(lyapunov_monitor(trace)) > 0
 
 
 def test_saturation_scenario_respects_bounds():
-    scenario = replace(
-        STABILIZE,
-        initial=PlantState(0.15, 0.0),
-        bounds=(-2.0, 2.0),
-        timing=Timing(0.001, 0.01, 4.0),
-        settle_tol=0.02,
-    )
+    scenario = replace(SATURATING, timing=Timing(0.001, 0.01, 4.0), settle_tol=0.02)
     trace, summary = run(scenario)
     u = np.array([r.u for r in trace])
     assert np.all(u >= -2.0) and np.all(u <= 2.0)
@@ -249,13 +238,8 @@ def test_saturation_scenario_respects_bounds():
 
 def test_stiff_network_still_converges():
     # vartheta * period = 100: the network settles well within every period
-    scenario = replace(
-        STABILIZE,
-        initial=PlantState(0.18, 0.0),
-        bounds=(-2.0, 2.0),
-        prnn=PrnnConfig(vartheta=1e4),
-        timing=Timing(0.001, 0.01, 5.0),
-    )
+    scenario = replace(SATURATING, initial=PlantState(0.18, 0.0), prnn=PrnnConfig(vartheta=1e4),
+                       timing=Timing(0.001, 0.01, 5.0))
     trace, summary = run(scenario)
     assert not summary.aborted
     assert summary.saturation_fraction > 0.0
@@ -296,16 +280,8 @@ def test_overflow_at_extreme_finite_state_aborts():
 def test_timescale_consistency_under_faster_network():
     # a 10x faster network must not change the closed loop materially (the
     # optimizer is already quasi-static)
-    base = replace(
-        STABILIZE,
-        initial=PlantState(0.15, 0.0),
-        bounds=(-2.0, 2.0),
-        timing=Timing(0.001, 0.01, 4.0),
-    )
-    fast = replace(
-        base,
-        prnn=PrnnConfig(vartheta=base.prnn.vartheta * 10),
-    )
+    base = replace(SATURATING, timing=Timing(0.001, 0.01, 4.0))
+    fast = replace(base, prnn=PrnnConfig(vartheta=base.prnn.vartheta * 10))
     trace_a, _ = run(base)
     trace_b, _ = run(fast)
     s1a = np.array([r.S1 for r in trace_a])
@@ -342,12 +318,7 @@ def test_sweep_single_cell_matches_run():
 
 
 def test_sweep_vartheta_speeds_network_settling():
-    base = replace(
-        STABILIZE,
-        initial=PlantState(0.15, 0.0),
-        bounds=(-2.0, 2.0),
-        timing=Timing(0.001, 0.01, 5.0),
-    )
+    base = replace(SATURATING, timing=Timing(0.001, 0.01, 5.0))
     cells = sweep(base, {"vartheta": [10.0, 20.0, 40.0]})
     times = [c.summary.time_to_prnn_residual for c in cells]
     assert all(math.isfinite(t) for t in times)
@@ -392,29 +363,11 @@ def test_sweep_pool_capped_at_cell_count(monkeypatch):
 def test_sweep_grid_order_and_failures():
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
     cells = sweep(base, {"c1": [-1.0, 2.0], "T": [50.0, 100.0]})
-    assert [c.coords for c in cells] == [
-        {"c1": -1.0, "T": 50.0},
-        {"c1": -1.0, "T": 100.0},
-        {"c1": 2.0, "T": 50.0},
-        {"c1": 2.0, "T": 100.0},
-    ]
+    want = [{"c1": c1, "T": T} for c1 in (-1.0, 2.0) for T in (50.0, 100.0)]
+    assert [c.coords for c in cells] == want
     assert cells[0].summary is None and "c1" in cells[0].error
     assert cells[1].summary is None
     assert cells[2].summary is not None and cells[2].error == ""
-
-
-def _summaries_equal(a, b):
-    import dataclasses
-
-    for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        both_nan = (
-            isinstance(va, float) and isinstance(vb, float)
-            and math.isnan(va) and math.isnan(vb)
-        )
-        if not both_nan and va != vb:
-            return False
-    return True
 
 
 def test_sweep_parallel_matches_serial():
@@ -422,11 +375,8 @@ def test_sweep_parallel_matches_serial():
     grid = {"vartheta": [25.0, 50.0], "R": [0.1, 0.01]}
     serial = sweep(base, grid, max_workers=1)
     parallel = sweep(base, grid, max_workers=2)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert a.coords == b.coords
-        assert a.error == b.error
-        assert _summaries_equal(a.summary, b.summary)
+    assert len(serial) == 4
+    assert repr(parallel) == repr(serial)  # repr: the theta error is NaN
 
 
 def test_sweep_rejects_empty_grid():
