@@ -5,8 +5,11 @@ section's field names, and the scalar fields at the top level, all in
 declaration order.  Every key is optional and defaults to `Scenario()`;
 unknown keys are rejected with their full path so typos cannot silently fall
 back to defaults, and every value passes `sim.checked_value`, which names the
-key path.  Serialization round-trips exactly: parse(dump(parse(x))) yields an
-identical Scenario.
+key path.  A key given twice in one mapping is rejected with its line.
+Serialization round-trips exactly: parse(dump(parse(x))) yields an identical
+Scenario.  Files are read and written through libyaml when PyYAML has it;
+the constructor and representer are PyYAML's safe ones either way, so the
+parsed tree and the dumped text do not depend on it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,31 @@ from .sim import BOUND_KEYS, Scenario, checked_value
 
 class ConfigError(ValueError):
     """Malformed scenario configuration; message carries the offending key."""
+
+
+_SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_SafeDumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _StrictLoader(_SafeLoader):
+    """The safe loader, rejecting a key that one mapping gives twice."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # a merge key (<<) is expanded by the base constructor, and a
+            # non-scalar key is unhashable, which the base constructor reports
+            if key_node.tag == _MERGE_TAG or not isinstance(key_node, yaml.ScalarNode):
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def _mapping(path: str, raw) -> dict:
@@ -107,13 +135,15 @@ def scenario_to_dict(s: Scenario) -> dict:
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_StrictLoader)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    except UnicodeDecodeError as err:  # raised while reading
+        raise ConfigError(f"config {path} is not UTF-8 text: {err}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     return parse_scenario(data)
 
 
 def dumps_scenario(s: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_dict(s), sort_keys=False)
+    return yaml.dump(scenario_to_dict(s), Dumper=_SafeDumper, sort_keys=False)

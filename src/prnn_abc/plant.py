@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -81,22 +82,46 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
-    """Sample the disturbance at time t; a pure function of (spec, t)."""
-    if spec.kind == "none":
-        return 0.0
-    if spec.kind == "constant":
-        return spec.amplitude
-    if spec.kind == "sinusoid":
-        return spec.amplitude * math.sin(2.0 * math.pi * spec.frequency * t)
+def _no_disturbance(t: float) -> float:
+    return 0.0
+
+
+def _random_sampler(spec: DisturbanceSpec) -> Callable[[float], float]:
     # bounded-uniform-random: a counter-based stream, hashing (seed, bit
     # pattern of t) so that RK4 stage sampling is reproducible and independent
     # of call order.  Both mixes are bijections, so at one t two seeds never
     # share a 64-bit hash.
-    bits = _U64.unpack(_F64.pack(t))[0]
-    z = _mix64(_mix64((spec.seed + _GOLDEN_GAMMA) & _MASK64) ^ bits)
-    # top 53 bits -> [-1, 1) exactly; scaling by the amplitude is monotone
-    return spec.amplitude * ((z >> 11) * 2.0**-52 - 1.0)
+    seed_hash = _mix64((spec.seed + _GOLDEN_GAMMA) & _MASK64)
+    amplitude, pack, unpack = spec.amplitude, _F64.pack, _U64.unpack
+
+    def random_at(t: float) -> float:
+        z = _mix64(seed_hash ^ unpack(pack(t))[0])
+        # top 53 bits -> [-1, 1) exactly; scaling by the amplitude is monotone
+        return amplitude * ((z >> 11) * 2.0**-52 - 1.0)
+
+    return random_at
+
+
+def disturbance_sampler(spec: DisturbanceSpec) -> Callable[[float], float]:
+    """The disturbance of spec as a pure function of time t.
+
+    What depends on spec alone (the seed half of the hash, the angular
+    frequency, the amplitude) is computed once here, not once per sample.
+    """
+    # constants are bound as default arguments, not closed over: step calls
+    # this once per control period, and cell variables would cost that call
+    if spec.kind == "none":
+        return _no_disturbance
+    if spec.kind == "constant":
+        return lambda t, d=spec.amplitude: d
+    if spec.kind == "sinusoid":
+        return lambda t, a=spec.amplitude, w=2.0 * math.pi * spec.frequency: a * math.sin(w * t)
+    return _random_sampler(spec)
+
+
+def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
+    """Sample the disturbance at time t; a pure function of (spec, t)."""
+    return disturbance_sampler(spec)(t)
 
 
 def _denominator(params: PendulumParams, x1: float) -> float:
@@ -133,9 +158,11 @@ def step(
     """Advance the plant by `steps` classic RK4 steps of size dt from time t.
 
     u is held constant over all steps (zero-order hold).  Step i starts at
-    t + i*dt; the disturbance is sampled at its RK4 stage times t_i,
-    t_i + dt/2 (shared by k2 and k3) and t_i + dt, except that the
-    time-invariant kinds are sampled once per call.  Raises
+    t_i = t + i*dt; the disturbance is sampled at its RK4 stage times t_i,
+    t_i + dt/2 (shared by k2 and k3) and t_i + dt.  When t_i equals the
+    previous step's end time t_(i-1) + dt, that step's end sample is reused,
+    so each distinct stage time is sampled once; the time-invariant kinds
+    are sampled once per call.  Raises
     IntegrationBlowupError, naming the time, for a non-finite u and as soon as
     a step leaves the finite range.
     """
@@ -156,16 +183,21 @@ def step(
         den = l * (4.0 / 3.0 - m * c**2 / m_sum)
         return (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d
 
+    sample = disturbance_sampler(disturbance)
     time_varying = disturbance.kind not in ("none", "constant")
-    d_start = d_mid = d_end = 0.0 if time_varying else disturbance_value(disturbance, t)
+    d_start = d_mid = d_end = 0.0 if time_varying else sample(t)
+    t_end = None  # end time of the previous step
     x1, x2 = state.x1, state.x2
     h = 0.5 * dt
     for i in range(steps):
         ti = t + i * dt
         if time_varying:
-            d_start = disturbance_value(disturbance, ti)
-            d_mid = disturbance_value(disturbance, ti + h)
-            d_end = disturbance_value(disturbance, ti + dt)
+            # equal stage times have equal bits here (neither is ever -0.0),
+            # so reusing the end sample leaves the stream unchanged
+            d_start = d_end if ti == t_end else sample(ti)
+            d_mid = sample(ti + h)
+            t_end = ti + dt
+            d_end = sample(t_end)
         try:
             k1x, k1v = x2, accel(x1, x2, d_start)
             k2x = x2 + h * k1v

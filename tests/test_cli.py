@@ -80,6 +80,28 @@ def test_simulate_unknown_key_exit_code(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ("timing: {duration: 1.0}  # café\n".encode("latin-1"), "bad.yaml is not UTF-8"),
+        (b"initial: {x1: 0.1, x1: 0.3}\n", "duplicate key 'x1'"),
+    ],
+    ids=["non-utf8", "duplicate-key"],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_unreadable_scenario_is_config_error(tmp_path, capsys, command, data, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(data)
+    if command == "simulate":
+        argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["verify", "--suite", "lyapunov", "--scenario", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_abort_exit_code(tmp_path):
     scenario = Scenario(
         initial=PlantState(1.4, 0.0),

@@ -6,6 +6,7 @@ import yaml
 from oracles import save_scenario
 from prnn_abc.config import (
     ConfigError,
+    _StrictLoader,
     dumps_scenario,
     load_scenario,
     parse_scenario,
@@ -237,3 +238,53 @@ def test_theta0_entry_named_by_index():
         parse_scenario({"rls": {"theta0": [1.0, 2.0, float("inf")]}})
     with pytest.raises(ConfigError, match=r"key 'rls.theta0\[1\]' must be a number"):
         parse_scenario({"rls": {"theta0": [1.0, "2", 3.0]}})
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("initial: {x1: 0.1, x1: 0.3}\n", "x1", 1),
+        ("seed: 1\ntiming: {duration: 1.0}\nseed: 2\n", "seed", 3),
+        ("rls:\n  warmup_steps: 5\n  m0_scale: 10.0\n  warmup_steps: 6\n", "warmup_steps", 4),
+    ],
+)
+def test_duplicate_key_is_config_error_naming_key_and_line(tmp_path, text, key, line):
+    path = tmp_path / "dup.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"duplicate key '{key}'\n.*line {line},"):
+        load_scenario(path)
+
+
+def test_merge_key_overrides_are_not_duplicates():
+    text = "a: &base {x: 1, y: 2}\nb:\n  <<: *base\n  x: 3\n"
+    assert yaml.load(text, Loader=_StrictLoader) == {"a": {"x": 1, "y": 2}, "b": {"x": 3, "y": 2}}
+
+
+def test_non_utf8_file_is_config_error_naming_path(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("timing: {duration: 1.0}  # café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=rf"{path.name} is not UTF-8"):
+        load_scenario(path)
+
+
+# scenarios whose dumped text exercises the emitter's edge cases: infinite
+# bounds, the largest seed, an explicit theta0 and a subnormal float
+EDGE_SCENARIOS = [
+    default_scenario(),
+    sinusoid_scenario(),
+    parse_scenario({"bounds": {"u_min": float("-inf"), "u_max": float("inf")}}),
+    parse_scenario({"disturbance": {"kind": "bounded-uniform-random", "amplitude": 0.5,
+                                    "seed": 2**64 - 1}, "seed": 2**40}),
+    parse_scenario({"adaptive": True, "rls": {"theta0": [0.1, -2, 1.7e-8]}}),
+    parse_scenario({"initial": {"x1": 5e-324, "x2": -0.0}, "settle_tol": 1e-300}),
+]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("scenario", EDGE_SCENARIOS)
+def test_libyaml_reads_and_writes_like_pure_python(scenario):
+    text = dumps_scenario(scenario)
+    assert text == yaml.dump(scenario_to_dict(scenario), Dumper=yaml.SafeDumper, sort_keys=False)
+    # repr tells -0.0 from 0.0 and keeps every float digit
+    assert repr(yaml.load(text, Loader=_StrictLoader)) == repr(yaml.safe_load(text))
+    assert parse_scenario(yaml.load(text, Loader=_StrictLoader)) == scenario

@@ -261,21 +261,50 @@ def test_multi_step_bit_identical_to_step_loop(spec, steps):
         assert step(PARAMS, state, u, spec, t, dt, steps) == expected
 
 
-@pytest.mark.parametrize(
-    "spec, samples", zip(SPECS, [1, 1, 30, 30]), ids=[spec.kind for spec in SPECS]
-)
-def test_multi_step_samples_time_invariant_disturbance_once(monkeypatch, spec, samples):
-    # 10 sub-steps: the time-varying kinds are sampled at 3 stage times each
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_multi_step_samples_time_invariant_disturbance_once(monkeypatch, spec):
+    # the time-invariant kinds are sampled once per call; the time-varying
+    # kinds once per distinct stage-time bit pattern, so a sub-step start that
+    # equals the previous sub-step's end reuses that sample
     calls = []
-    sample = plant_module.disturbance_value
+    make_sampler = plant_module.disturbance_sampler
 
-    def counting(spec, t):
-        calls.append(t)
-        return sample(spec, t)
+    def counting(spec):
+        sample = make_sampler(spec)
 
-    monkeypatch.setattr(plant_module, "disturbance_value", counting)
-    step(PARAMS, PlantState(0.1, 0.0), 1.0, spec, 0.0, 0.001, 10)
-    assert len(calls) == samples
+        def counted(t):
+            calls.append(t)
+            return sample(t)
+
+        return counted
+
+    monkeypatch.setattr(plant_module, "disturbance_sampler", counting)
+    dt, steps = 0.001, 10
+    for t in (0.0, 0.37, 1.2345):
+        calls.clear()
+        step(PARAMS, PlantState(0.1, 0.0), 1.0, spec, t, dt, steps)
+        if spec.kind in ("none", "constant"):
+            assert calls == [t]
+            continue
+        stage_times = {
+            (t + i * dt + offset).hex() for i in range(steps) for offset in (0.0, 0.5 * dt, dt)
+        }
+        assert sorted(c.hex() for c in calls) == sorted(stage_times)
+        assert len(calls) < 3 * steps
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_disturbance_sampler_matches_disturbance_value(spec):
+    # one sampler serves many times in any order, bit for bit as a fresh
+    # disturbance_value call; the sinusoid keeps the left-to-right product
+    sample = plant_module.disturbance_sampler(spec)
+    rng = np.random.default_rng(5)
+    times = [0.0, -0.0, 1e-300, 5e-324, -2.5, 1e6] + [float(t) for t in rng.uniform(-10, 10, 200)]
+    for t in times + times[::-1]:
+        assert sample(t).hex() == disturbance_value(spec, t).hex()
+        if spec.kind == "sinusoid":
+            expected = spec.amplitude * math.sin(2.0 * math.pi * spec.frequency * t)
+            assert sample(t).hex() == expected.hex()
 
 
 def test_multi_step_blowup_reports_failing_substep_time():
