@@ -10,9 +10,10 @@ so that dx2/dt = A(x) + B(x) * u + d.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -49,10 +50,9 @@ class PlantState:
 
 
 _DISTURBANCE_KINDS = ("none", "constant", "sinusoid", "bounded-uniform-random")
+TIME_INVARIANT_KINDS = ("none", "constant")
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
-_F64 = struct.Struct("<d")
-_U64 = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -67,61 +67,96 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.kind not in _DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ValueError("disturbance amplitude must be >= 0")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(
+                f"disturbance.amplitude must be finite and >= 0, got {self.amplitude!r}"
+            )
         if self.kind == "sinusoid" and not self.frequency > 0:
             raise ValueError("sinusoid disturbance needs frequency > 0")
+        # a finite frequency whose angular frequency overflows would make
+        # math.sin meet an infinite argument
+        if not math.isfinite(2.0 * math.pi * self.frequency):
+            raise ValueError(
+                f"disturbance.frequency must keep 2*pi*frequency finite, got {self.frequency!r}"
+            )
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"disturbance.seed must be in [0, 2**64), got {self.seed}")
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: a bijection on 64-bit integers with full avalanche."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array: a bijection with full avalanche.
+
+    Array products wrap silently; numpy scalar ones would warn on overflow.
+    """
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
 def _no_disturbance(t: float) -> float:
     return 0.0
 
 
-def _random_sampler(spec: DisturbanceSpec) -> Callable[[float], float]:
+def _random_values(spec: DisturbanceSpec, times: np.ndarray) -> np.ndarray:
     # bounded-uniform-random: a counter-based stream, hashing (seed, bit
     # pattern of t) so that RK4 stage sampling is reproducible and independent
     # of call order.  Both mixes are bijections, so at one t two seeds never
-    # share a 64-bit hash.
-    seed_hash = _mix64((spec.seed + _GOLDEN_GAMMA) & _MASK64)
-    amplitude, pack, unpack = spec.amplitude, _F64.pack, _U64.unpack
-
-    def random_at(t: float) -> float:
-        z = _mix64(seed_hash ^ unpack(pack(t))[0])
-        # top 53 bits -> [-1, 1) exactly; scaling by the amplitude is monotone
-        return amplitude * ((z >> 11) * 2.0**-52 - 1.0)
-
-    return random_at
+    # share a 64-bit hash.  Broadcasting against the 1-element seed array
+    # keeps a 0-d `times` an array, so its products wrap without a warning.
+    seed_hash = _mix64(np.array([(spec.seed + _GOLDEN_GAMMA) & _MASK64], dtype=np.uint64))
+    z = _mix64(times.view(np.uint64) ^ seed_hash)
+    # top 53 bits -> [-1, 1) exactly; scaling by the amplitude is monotone
+    unit = (z >> 11).astype(np.float64) * 2.0**-52 - 1.0
+    return (spec.amplitude * unit).reshape(times.shape)
 
 
 def disturbance_sampler(spec: DisturbanceSpec) -> Callable[[float], float]:
-    """The disturbance of spec as a pure function of time t.
-
-    What depends on spec alone (the seed half of the hash, the angular
-    frequency, the amplitude) is computed once here, not once per sample.
-    """
+    """The disturbance of spec as a pure function of time t."""
     # constants are bound as default arguments, not closed over: step calls
-    # this once per control period, and cell variables would cost that call
+    # this once per call for the time-invariant kinds, and cell variables
+    # would cost that call
     if spec.kind == "none":
         return _no_disturbance
     if spec.kind == "constant":
         return lambda t, d=spec.amplitude: d
     if spec.kind == "sinusoid":
         return lambda t, a=spec.amplitude, w=2.0 * math.pi * spec.frequency: a * math.sin(w * t)
-    return _random_sampler(spec)
+    return lambda t: float(disturbance_at(spec, t))
 
 
 def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
     """Sample the disturbance at time t; a pure function of (spec, t)."""
     return disturbance_sampler(spec)(t)
+
+
+def disturbance_at(spec: DisturbanceSpec, times: np.ndarray) -> np.ndarray:
+    """The disturbance of spec at every entry of the float64 array `times`.
+
+    Entry for entry equal to `disturbance_value`, bit for bit.  The random
+    stream is hashed in one vectorized pass; the other kinds are sampled one
+    entry at a time, so the sinusoid stays on math.sin.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    if spec.kind == "bounded-uniform-random":
+        return _random_values(spec, times)
+    sample = disturbance_sampler(spec)
+    return np.fromiter(map(sample, times.ravel().tolist()), np.float64, times.size).reshape(
+        times.shape
+    )
+
+
+def stage_times(t, dt: float, steps: int) -> np.ndarray:
+    """RK4 stage times of `steps` sub-steps of size dt from t, as `step` forms them.
+
+    t is a start time or an array of them.  The result has shape
+    (*shape(t), steps, 3): for sub-step i, t_i = t + i*dt, t_i + dt/2 and
+    t_i + dt, each rounded as one IEEE operation, exactly as in `step`.
+    """
+    ti = np.asarray(t, dtype=np.float64)[..., None] + np.arange(steps) * dt
+    return np.stack((ti, ti + 0.5 * dt, ti + dt), axis=-1)
 
 
 def _denominator(params: PendulumParams, x1: float) -> float:
@@ -154,17 +189,19 @@ def step(
     t: float,
     dt: float,
     steps: int = 1,
+    stages: Sequence[Sequence[float]] | None = None,
 ) -> PlantState:
     """Advance the plant by `steps` classic RK4 steps of size dt from time t.
 
     u is held constant over all steps (zero-order hold).  Step i starts at
-    t_i = t + i*dt; the disturbance is sampled at its RK4 stage times t_i,
-    t_i + dt/2 (shared by k2 and k3) and t_i + dt.  When t_i equals the
-    previous step's end time t_(i-1) + dt, that step's end sample is reused,
-    so each distinct stage time is sampled once; the time-invariant kinds
-    are sampled once per call.  Raises
-    IntegrationBlowupError, naming the time, for a non-finite u and as soon as
-    a step leaves the finite range.
+    t_i = t + i*dt and takes the disturbance at its RK4 stage times t_i,
+    t_i + dt/2 (shared by k2 and k3) and t_i + dt.  `stages`, when given,
+    holds those samples, one (start, mid, end) row per step, as
+    `disturbance_at(disturbance, stage_times(t, dt, steps))` gives them; the
+    loop in `sim` computes them once per run.  Otherwise step samples a
+    time-varying kind that way itself, and a time-invariant kind once per
+    call.  Raises IntegrationBlowupError, naming the time, for a non-finite u
+    and as soon as a step leaves the finite range.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -183,21 +220,18 @@ def step(
         den = l * (4.0 / 3.0 - m * c**2 / m_sum)
         return (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d
 
-    sample = disturbance_sampler(disturbance)
-    time_varying = disturbance.kind not in ("none", "constant")
-    d_start = d_mid = d_end = 0.0 if time_varying else sample(t)
-    t_end = None  # end time of the previous step
+    if stages is None:
+        if disturbance.kind in TIME_INVARIANT_KINDS:
+            d_start = d_mid = d_end = disturbance_sampler(disturbance)(t)
+        else:
+            stages = disturbance_at(disturbance, stage_times(t, dt, steps)).tolist()
+    time_varying = stages is not None
     x1, x2 = state.x1, state.x2
     h = 0.5 * dt
     for i in range(steps):
         ti = t + i * dt
         if time_varying:
-            # equal stage times have equal bits here (neither is ever -0.0),
-            # so reusing the end sample leaves the stream unchanged
-            d_start = d_end if ti == t_end else sample(ti)
-            d_mid = sample(ti + h)
-            t_end = ti + dt
-            d_end = sample(t_end)
+            d_start, d_mid, d_end = stages[i]
         try:
             k1x, k1v = x2, accel(x1, x2, d_start)
             k2x = x2 + h * k1v

@@ -23,6 +23,8 @@ from .plant import PendulumParams, PlantState, drift_term, gain_term
 from .qp import QpCoefficients, Weights, assemble
 
 IDENTIFIABILITY_EPS = 1e-6
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 class NotYetIdentifiableError(RuntimeError):
@@ -96,7 +98,7 @@ def update(s: RlsState, pi: np.ndarray, y: float) -> RlsState:
     gain = (s.M @ pi) / denom
     err = y - float(pi @ s.theta_hat)
     theta = s.theta_hat + gain * err
-    m_next = (np.eye(3) - np.outer(gain, pi)) @ s.M
+    m_next = (_EYE3 - gain[:, None] * pi) @ s.M
     m_next = 0.5 * (m_next + m_next.T)
     return RlsState(theta_hat=theta, M=m_next, k=s.k + 1)
 

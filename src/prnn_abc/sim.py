@@ -118,6 +118,17 @@ class Scenario:
             raise ValueError("settle_tol > 0 required")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the sinusoid's phase 2*pi*f*t must stay finite up to the last RK4
+        # stage time, which lies below twice the run's length, or math.sin
+        # has no value there
+        horizon = 2.0 * self.timing.control_steps * self.timing.control_period
+        if self.disturbance.kind == "sinusoid" and not math.isfinite(
+            2.0 * math.pi * self.disturbance.frequency * horizon
+        ):
+            raise ValueError(
+                f"disturbance.frequency {self.disturbance.frequency!r} makes the sinusoid's "
+                f"phase overflow within the run"
+            )
 
 
 BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries
@@ -265,6 +276,14 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
     rls_state = rls.initial_state(initial_theta(sc), sc.rls.m0_scale) if adaptive else None
     model: PendulumParams | None = None  # the controller's estimated plant; None: nominal terms
     prev: tuple[PlantState, float] | None = None  # state and applied u, one period ago
+    # a time-varying disturbance at every RK4 stage of the run, in one pass
+    # before the loop: float64, 24 bytes per plant sub-step
+    stages = None
+    if sc.disturbance.kind not in plant.TIME_INVARIANT_KINDS:
+        starts = np.arange(timing.control_steps) * period
+        stages = plant.disturbance_at(
+            sc.disturbance, plant.stage_times(starts, timing.plant_dt, timing.substeps)
+        )
 
     for k in range(timing.control_steps):
         t = k * period
@@ -326,7 +345,8 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
 
             prev = (state, u)
             state = plant.step(
-                sc.params, state, u, sc.disturbance, t, timing.plant_dt, timing.substeps
+                sc.params, state, u, sc.disturbance, t, timing.plant_dt, timing.substeps,
+                None if stages is None else stages[k].tolist(),
             )
         except IntegrationBlowupError as err:
             aborted, reason = True, str(err)

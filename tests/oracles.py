@@ -5,6 +5,7 @@ the fused code paths of the package, so that a test can use them as oracles.
 """
 
 import math
+import struct
 from pathlib import Path
 
 from prnn_abc.backstepping import ErrorCoords, Gains
@@ -18,6 +19,24 @@ def derivatives(
 ) -> tuple[float, float]:
     """State derivative (dx1, dx2) = (x2, A + B*u + d)."""
     return state.x2, drift_term(params, state) + gain_term(params, state) * u + d
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def random_disturbance(seed: int, amplitude: float, t: float) -> float:
+    """bounded-uniform-random sample at t, in Python integers: the SplitMix64
+    finalizer of (mixed seed xor the bits of t), top 53 bits mapped to
+    [-amplitude, amplitude)."""
+    bits = struct.unpack("<Q", struct.pack("<d", t))[0]
+    z = _mix64(_mix64((seed + 0x9E3779B97F4A7C15) & _MASK64) ^ bits)
+    return amplitude * ((z >> 11) * 2.0**-52 - 1.0)
 
 
 def mechanical_energy(params: PendulumParams, state: PlantState) -> float:

@@ -285,6 +285,23 @@ def test_simulate_bad_value_is_config_error_naming_key(tmp_path, capsys, path, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # 2*pi*f overflows
+        "disturbance: {kind: sinusoid, amplitude: 1.0, frequency: 1.0e+308}",
+        # 2*pi*f is finite, but the phase overflows before the 5 s run ends
+        "disturbance: {kind: sinusoid, amplitude: 1.0, frequency: 1.0e+307}",
+    ],
+)
+def test_simulate_overflowing_disturbance_frequency_is_config_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: disturbance.frequency")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_open_bounds_run_cleanly(tmp_path, capsys):
     path = tmp_path / "open.yaml"
     path.write_text("bounds: {u_min: -.inf, u_max: .inf}\ntiming: {duration: 0.5}\n",

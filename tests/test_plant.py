@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import prnn_abc.plant as plant_module
-from oracles import derivatives, mechanical_energy
+from oracles import derivatives, mechanical_energy, random_disturbance
 from prnn_abc.plant import (
     DisturbanceSpec,
     IntegrationBlowupError,
@@ -263,34 +264,83 @@ def test_multi_step_bit_identical_to_step_loop(spec, steps):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
 def test_multi_step_samples_time_invariant_disturbance_once(monkeypatch, spec):
-    # the time-invariant kinds are sampled once per call; the time-varying
-    # kinds once per distinct stage-time bit pattern, so a sub-step start that
-    # equals the previous sub-step's end reuses that sample
-    calls = []
-    make_sampler = plant_module.disturbance_sampler
+    # a time-invariant kind is sampled once per call; a time-varying kind in
+    # one disturbance_at call over the call's whole stage grid, or not at all
+    # when the caller passes the stage samples in
+    samples, grids = [], []
+    make_sampler, sample_at = plant_module.disturbance_sampler, plant_module.disturbance_at
 
-    def counting(spec):
+    def counting_sampler(spec):
         sample = make_sampler(spec)
 
         def counted(t):
-            calls.append(t)
+            samples.append(t)
             return sample(t)
 
         return counted
 
-    monkeypatch.setattr(plant_module, "disturbance_sampler", counting)
+    def counting_at(spec, times):
+        grids.append(np.array(times))
+        return sample_at(spec, times)
+
+    monkeypatch.setattr(plant_module, "disturbance_sampler", counting_sampler)
+    monkeypatch.setattr(plant_module, "disturbance_at", counting_at)
     dt, steps = 0.001, 10
     for t in (0.0, 0.37, 1.2345):
-        calls.clear()
-        step(PARAMS, PlantState(0.1, 0.0), 1.0, spec, t, dt, steps)
-        if spec.kind in ("none", "constant"):
-            assert calls == [t]
+        samples.clear()
+        grids.clear()
+        state = step(PARAMS, PlantState(0.1, 0.0), 1.0, spec, t, dt, steps)
+        if spec.kind in plant_module.TIME_INVARIANT_KINDS:
+            assert samples == [t] and grids == []
             continue
-        stage_times = {
-            (t + i * dt + offset).hex() for i in range(steps) for offset in (0.0, 0.5 * dt, dt)
-        }
-        assert sorted(c.hex() for c in calls) == sorted(stage_times)
-        assert len(calls) < 3 * steps
+        (grid,) = grids
+        expected = [
+            [(ti + offset).hex() for offset in (0.0, 0.5 * dt, dt)]
+            for ti in (t + i * dt for i in range(steps))
+        ]
+        assert [[v.hex() for v in row] for row in grid.tolist()] == expected
+        stages = sample_at(spec, grid).tolist()
+        samples.clear()
+        grids.clear()
+        assert step(PARAMS, PlantState(0.1, 0.0), 1.0, spec, t, dt, steps, stages) == state
+        assert samples == [] and grids == []
+
+
+def test_stage_times_match_step_arithmetic():
+    # a whole run's grid, from period starts k*period as the loop forms them
+    period, dt, substeps, periods = 0.01, 0.001, 10, 120
+    grid = plant_module.stage_times(np.arange(periods) * period, dt, substeps)
+    assert grid.shape == (periods, substeps, 3)
+    for k, period_rows in enumerate(grid.tolist()):
+        for i, row in enumerate(period_rows):
+            ti = k * period + i * dt
+            assert [v.hex() for v in row] == [ti.hex(), (ti + 0.5 * dt).hex(), (ti + dt).hex()]
+    one = plant_module.stage_times(0.37, dt, substeps)
+    assert np.array_equal(one, plant_module.stage_times(np.array([0.37]), dt, substeps)[0])
+
+
+def test_random_disturbance_matches_scalar_oracle_over_a_run():
+    # the vectorized stream against the integer SplitMix64 restatement, at
+    # every stage time of a 1.2 s run of 10 sub-steps per period
+    spec = DisturbanceSpec(kind="bounded-uniform-random", amplitude=0.3, seed=2**63 + 11)
+    grid = plant_module.stage_times(np.arange(120) * 0.01, 0.001, 10)
+    values = plant_module.disturbance_at(spec, grid)
+    assert values.shape == grid.shape
+    for t, value in zip(grid.ravel().tolist(), values.ravel().tolist()):
+        assert value.hex() == random_disturbance(spec.seed, spec.amplitude, t).hex()
+
+
+def test_random_disturbance_of_one_time_raises_no_warning():
+    # numpy scalar uint64 products warn on overflow; arrays wrap silently
+    spec = DisturbanceSpec(kind="bounded-uniform-random", amplitude=1.0, seed=7)
+    expected = random_disturbance(7, 1.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for times in (0.5, np.float64(0.5), np.array(0.5), np.array([0.5]), np.array([[0.5]])):
+            values = plant_module.disturbance_at(spec, times)
+            assert values.shape == np.shape(times)
+            assert float(values.ravel()[0]) == expected
+        assert disturbance_value(spec, 0.5) == expected
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
@@ -305,6 +355,11 @@ def test_disturbance_sampler_matches_disturbance_value(spec):
         if spec.kind == "sinusoid":
             expected = spec.amplitude * math.sin(2.0 * math.pi * spec.frequency * t)
             assert sample(t).hex() == expected.hex()
+        if spec.kind == "bounded-uniform-random":
+            assert sample(t).hex() == random_disturbance(spec.seed, spec.amplitude, t).hex()
+    # the vectorized form, entry for entry, over the same odd times
+    vector = plant_module.disturbance_at(spec, np.array(times)).tolist()
+    assert [v.hex() for v in vector] == [disturbance_value(spec, t).hex() for t in times]
 
 
 def test_multi_step_blowup_reports_failing_substep_time():
@@ -364,7 +419,7 @@ def test_random_disturbance_uniform_statistics():
     streams = []
     for seed in (0, 1, 2**40):
         spec = DisturbanceSpec(kind="bounded-uniform-random", amplitude=amplitude, seed=seed)
-        values = np.array([disturbance_value(spec, t) for t in ts])
+        values = plant_module.disturbance_at(spec, ts)
         assert np.all(np.abs(values) <= amplitude)
         # mean and variance of U(-a, a): 0 and a^2/3; the standard error of
         # the mean is about 0.002 here
@@ -383,6 +438,12 @@ def test_disturbance_spec_validation():
         DisturbanceSpec(kind="constant", amplitude=-1.0)
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="sinusoid", amplitude=1.0, frequency=0.0)
+    for amplitude in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="disturbance.amplitude"):
+            DisturbanceSpec(kind="constant", amplitude=amplitude)
+    # finite, but 2*pi*frequency overflows
+    with pytest.raises(ValueError, match="disturbance.frequency"):
+        DisturbanceSpec(kind="sinusoid", amplitude=1.0, frequency=1e308)
     for seed in (-3, 2**64):
         with pytest.raises(ValueError, match="disturbance.seed"):
             DisturbanceSpec(kind="bounded-uniform-random", amplitude=1.0, seed=seed)

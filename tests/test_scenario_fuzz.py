@@ -10,7 +10,7 @@ control steps of at most 20 plant sub-steps each.
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from prnn_abc.config import ConfigError, parse_scenario
@@ -104,6 +104,8 @@ def trees(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(trees())
+# a finite frequency whose 2*pi*f overflows once crashed inside the first step
+@example({"disturbance": {"kind": "sinusoid", "amplitude": 1.0, "frequency": 1.0e308}})
 def test_every_tree_is_config_error_abort_or_clean_run(tree):
     try:
         scenario = parse_scenario(tree)

@@ -125,7 +125,8 @@ def test_abort_when_leaving_half_plane():
 def test_each_period_is_one_plant_step_call(monkeypatch, law):
     # the loop integrates a control period with one plant.step call of
     # `substeps` RK4 steps, through the module attribute, so a wrapper
-    # there sees every plant integration and every blowup
+    # there sees every plant integration and every blowup; without a
+    # time-varying disturbance it passes no stage samples
     scenario = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
     expected, _ = law(scenario)
     calls = []
@@ -138,7 +139,46 @@ def test_each_period_is_one_plant_step_call(monkeypatch, law):
     monkeypatch.setattr(plant_module, "step", counting)
     trace, _ = law(scenario)
     assert trace == expected
-    assert calls == [(scenario.timing.substeps,)] * scenario.timing.control_steps
+    assert calls == [(scenario.timing.substeps, None)] * scenario.timing.control_steps
+
+
+@pytest.mark.parametrize("kind", ["sinusoid", "bounded-uniform-random"])
+def test_time_varying_disturbance_sampled_once_per_run(monkeypatch, kind):
+    # the whole run's stage samples come from one disturbance_at call before
+    # the loop; plant.step then reads them and samples nothing itself
+    disturbance = DisturbanceSpec(kind=kind, amplitude=0.3, frequency=1.5, seed=5)
+    scenario = replace(
+        sinusoid_scenario(0.4, 0.8), disturbance=disturbance, timing=Timing(0.001, 0.01, 1.2)
+    )
+    expected, _ = run(scenario)
+    grids, samplers = [], []
+    sample_at, make_sampler = plant_module.disturbance_at, plant_module.disturbance_sampler
+
+    def counting_at(spec, times):
+        grids.append(times.shape)
+        return sample_at(spec, times)
+
+    def counting_sampler(spec):
+        samplers.append(spec)
+        return make_sampler(spec)
+
+    monkeypatch.setattr(plant_module, "disturbance_at", counting_at)
+    monkeypatch.setattr(plant_module, "disturbance_sampler", counting_sampler)
+    trace, _ = run(scenario)
+    assert trace == expected
+    timing = scenario.timing
+    assert grids == [(timing.control_steps, timing.substeps, 3)]
+    # the sinusoid builds its one sampler inside that call; the random
+    # stream is hashed as a whole and builds none
+    assert len(samplers) == (1 if kind == "sinusoid" else 0)
+
+
+def test_sinusoid_disturbance_whose_phase_overflows_within_the_run_rejected():
+    # 2*pi*f is finite, but 2*pi*f*t overflows before the run ends
+    disturbance = DisturbanceSpec(kind="sinusoid", amplitude=1.0, frequency=1e307)
+    with pytest.raises(ValueError, match="disturbance.frequency"):
+        replace(STABILIZE, disturbance=disturbance, timing=Timing(0.001, 0.01, 5.0))
+    replace(STABILIZE, disturbance=disturbance, timing=Timing(0.001, 0.01, 0.5))
 
 
 def test_exact_baseline_tracks_ideal_v2_rate():
