@@ -5,6 +5,10 @@ The plant is the angle subsystem of a pendulum on a cart: state (x1, x2) =
 disturbance d on the acceleration channel, and output y = x1.  The angular
 acceleration splits into a control-free drift A(x) and an input gain B(x),
 so that dx2/dt = A(x) + B(x) * u + d.
+
+d is a pure function of (DisturbanceSpec, t).  A time-varying d is sampled
+ahead of the integration, at every RK4 stage time of a whole run at once
+(`stage_times`, `disturbance_at`), and `step` reads the samples.
 """
 
 from __future__ import annotations
@@ -132,8 +136,8 @@ def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
     return disturbance_sampler(spec)(t)
 
 
-def disturbance_at(spec: DisturbanceSpec, times: np.ndarray) -> np.ndarray:
-    """The disturbance of spec at every entry of the float64 array `times`.
+def disturbance_at(spec: DisturbanceSpec, times: np.ndarray | float) -> np.ndarray:
+    """The disturbance of spec at every entry of `times`, an array or a number.
 
     Entry for entry equal to `disturbance_value`, bit for bit.  The random
     stream is hashed in one vectorized pass; the other kinds are sampled one

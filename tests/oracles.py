@@ -31,9 +31,11 @@ def _mix64(z: int) -> int:
 
 
 def random_disturbance(seed: int, amplitude: float, t: float) -> float:
-    """bounded-uniform-random sample at t, in Python integers: the SplitMix64
-    finalizer of (mixed seed xor the bits of t), top 53 bits mapped to
-    [-amplitude, amplitude)."""
+    """The bounded-uniform-random disturbance at t, restated in Python integers.
+
+    The SplitMix64 finalizer of (mixed seed xor the bit pattern of t), its
+    top 53 bits mapped to [-amplitude, amplitude).
+    """
     bits = struct.unpack("<Q", struct.pack("<d", t))[0]
     z = _mix64(_mix64((seed + 0x9E3779B97F4A7C15) & _MASK64) ^ bits)
     return amplitude * ((z >> 11) * 2.0**-52 - 1.0)
