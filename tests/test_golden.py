@@ -55,18 +55,26 @@ def test_run_writes_golden_bytes(name, tmp_path):
 
 
 def rewrite() -> None:
-    """Re-pin every run in golden.json, normalizing each scenario through `config`."""
-    lines = []
+    """Re-pin every run in golden.json, normalizing each scenario through `config`.
+
+    Prints the name of every run whose digests changed, a new run included.
+    """
+    lines, changed = [], []
     for name, entry in RUNS.items():
         pinned = {}
         if "scenario" in entry:
             pinned["scenario"] = scenario_to_dict(parse_scenario(entry["scenario"]))
         with tempfile.TemporaryDirectory() as tmp:
-            pinned.update(digests(pinned.get("scenario"), Path(tmp)))
+            fresh = digests(pinned.get("scenario"), Path(tmp))
+        if any(entry.get(key) != digest for key, digest in fresh.items()):
+            changed.append(name)
+        pinned.update(fresh)
         lines.append(f"  {json.dumps(name)}: {json.dumps(pinned)}")
     # one line per run, so that a re-pin diffs run by run
     GOLDEN.write_text('{"runs": {\n' + ",\n".join(lines) + "\n}}\n", encoding="utf-8")
-    print(f"rewrote {GOLDEN}: {len(lines)} runs")
+    print(f"rewrote {GOLDEN}: {len(lines)} runs, digests changed for {len(changed)}")
+    for name in changed:
+        print(f"  {name}")
 
 
 if __name__ == "__main__":
