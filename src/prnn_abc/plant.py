@@ -6,16 +6,16 @@ disturbance d on the acceleration channel, and output y = x1.  The angular
 acceleration splits into a control-free drift A(x) and an input gain B(x),
 so that dx2/dt = A(x) + B(x) * u + d.
 
-d is a pure function of (DisturbanceSpec, t).  A time-varying d is sampled
-ahead of the integration, at every RK4 stage time of a whole run at once
-(`stage_times`, `disturbance_at`), and `step` reads the samples.
+d is a pure function of (DisturbanceSpec, t).  `stage_disturbance` samples
+it ahead of the integration, at every RK4 stage time of a whole run at once,
+and `step` integrates the rows it is given without knowing how d is made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class PlantState:
 
 
 _DISTURBANCE_KINDS = ("none", "constant", "sinusoid", "bounded-uniform-random")
-TIME_INVARIANT_KINDS = ("none", "constant")
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
@@ -100,10 +99,6 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _no_disturbance(t: float) -> float:
-    return 0.0
-
-
 def _random_values(spec: DisturbanceSpec, times: np.ndarray) -> np.ndarray:
     # bounded-uniform-random: a counter-based stream, hashing (seed, bit
     # pattern of t) so that RK4 stage sampling is reproducible and independent
@@ -117,50 +112,50 @@ def _random_values(spec: DisturbanceSpec, times: np.ndarray) -> np.ndarray:
     return (spec.amplitude * unit).reshape(times.shape)
 
 
-def disturbance_sampler(spec: DisturbanceSpec) -> Callable[[float], float]:
-    """The disturbance of spec as a pure function of time t."""
-    # constants are bound as default arguments, not closed over: step calls
-    # this once per call for the time-invariant kinds, and cell variables
-    # would cost that call
-    if spec.kind == "none":
-        return _no_disturbance
-    if spec.kind == "constant":
-        return lambda t, d=spec.amplitude: d
-    if spec.kind == "sinusoid":
-        return lambda t, a=spec.amplitude, w=2.0 * math.pi * spec.frequency: a * math.sin(w * t)
-    return lambda t: float(disturbance_at(spec, t))
-
-
 def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
     """Sample the disturbance at time t; a pure function of (spec, t)."""
-    return disturbance_sampler(spec)(t)
+    return float(disturbance_at(spec, t))
 
 
 def disturbance_at(spec: DisturbanceSpec, times: np.ndarray | float) -> np.ndarray:
     """The disturbance of spec at every entry of `times`, an array or a number.
 
-    Entry for entry equal to `disturbance_value`, bit for bit.  The random
-    stream is hashed in one vectorized pass; the other kinds are sampled one
-    entry at a time, so the sinusoid stays on math.sin.
+    The one statement of each kind.  The random stream is hashed in one
+    vectorized pass; the sinusoid is sampled one entry at a time on math.sin,
+    which np.sin need not match bit for bit.
     """
     times = np.asarray(times, dtype=np.float64)
-    if spec.kind == "bounded-uniform-random":
-        return _random_values(spec, times)
-    sample = disturbance_sampler(spec)
-    return np.fromiter(map(sample, times.ravel().tolist()), np.float64, times.size).reshape(
-        times.shape
-    )
+    if spec.kind == "none":
+        return np.zeros(times.shape)
+    if spec.kind == "constant":
+        return np.full(times.shape, spec.amplitude)
+    if spec.kind == "sinusoid":
+        a, w = spec.amplitude, 2.0 * math.pi * spec.frequency
+        values = (a * math.sin(w * t) for t in times.ravel().tolist())
+        return np.fromiter(values, np.float64, times.size).reshape(times.shape)
+    return _random_values(spec, times)
 
 
 def stage_times(t, dt: float, steps: int) -> np.ndarray:
-    """RK4 stage times of `steps` sub-steps of size dt from t, as `step` forms them.
+    """RK4 stage times of `steps` sub-steps of size dt from t.
 
     t is a start time or an array of them.  The result has shape
     (*shape(t), steps, 3): for sub-step i, t_i = t + i*dt, t_i + dt/2 and
-    t_i + dt, each rounded as one IEEE operation, exactly as in `step`.
+    t_i + dt, each rounded as one IEEE operation.
     """
     ti = np.asarray(t, dtype=np.float64)[..., None] + np.arange(steps) * dt
     return np.stack((ti, ti + 0.5 * dt, ti + dt), axis=-1)
+
+
+def stage_disturbance(spec: DisturbanceSpec, t, dt: float, steps: int) -> np.ndarray:
+    """The disturbance rows that `step` reads for `steps` sub-steps of size dt from t.
+
+    Shape (*shape(t), steps, 3): d at the stage times of `stage_times`.  A
+    time-invariant kind is a zero-stride view of one value and builds no grid.
+    """
+    if spec.kind in ("none", "constant"):
+        return np.broadcast_to(disturbance_at(spec, 0.0), (*np.shape(t), steps, 3))
+    return disturbance_at(spec, stage_times(t, dt, steps))
 
 
 def _denominator(params: PendulumParams, x1: float) -> float:
@@ -189,28 +184,23 @@ def step(
     params: PendulumParams,
     state: PlantState,
     u: float,
-    disturbance: DisturbanceSpec,
     t: float,
     dt: float,
-    steps: int = 1,
-    stages: Sequence[Sequence[float]] | None = None,
+    stages: Sequence[Sequence[float]],
 ) -> PlantState:
-    """Advance the plant by `steps` classic RK4 steps of size dt from time t.
+    """Advance the plant by one classic RK4 step of size dt per row of `stages`.
 
     u is held constant over all steps (zero-order hold).  Step i starts at
-    t_i = t + i*dt and takes the disturbance at its RK4 stage times t_i,
-    t_i + dt/2 (shared by k2 and k3) and t_i + dt.  `stages`, when given,
-    holds those samples, one (start, mid, end) row per step, as
-    `disturbance_at(disturbance, stage_times(t, dt, steps))` gives them; the
-    loop in `sim` computes them once per run.  Otherwise step samples a
-    time-varying kind that way itself, and a time-invariant kind once per
-    call.  Raises IntegrationBlowupError, naming the time, for a non-finite u
-    and as soon as a step leaves the finite range.
+    t_i = t + i*dt and takes the disturbance from row i of `stages`, its
+    values at t_i, t_i + dt/2 (shared by k2 and k3) and t_i + dt, as
+    `stage_disturbance(spec, t, dt, steps).tolist()` gives them.  Raises
+    IntegrationBlowupError, naming the time, for a non-finite u and as soon
+    as a step leaves the finite range.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not stages:
+        raise ValueError("steps must be >= 1, got no rows in stages")
     if not math.isfinite(u):
         raise IntegrationBlowupError(f"non-finite force u={u!r} at t={t:.6f}")
     g, m, l = params.g, params.m, params.l
@@ -224,18 +214,10 @@ def step(
         den = l * (4.0 / 3.0 - m * c**2 / m_sum)
         return (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d
 
-    if stages is None:
-        if disturbance.kind in TIME_INVARIANT_KINDS:
-            d_start = d_mid = d_end = disturbance_sampler(disturbance)(t)
-        else:
-            stages = disturbance_at(disturbance, stage_times(t, dt, steps)).tolist()
-    time_varying = stages is not None
     x1, x2 = state.x1, state.x2
     h = 0.5 * dt
-    for i in range(steps):
+    for i, (d_start, d_mid, d_end) in enumerate(stages):
         ti = t + i * dt
-        if time_varying:
-            d_start, d_mid, d_end = stages[i]
         try:
             k1x, k1v = x2, accel(x1, x2, d_start)
             k2x = x2 + h * k1v

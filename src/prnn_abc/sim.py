@@ -58,6 +58,14 @@ class Timing:
             raise ValueError("control_period must be an integer multiple of plant_dt")
         if self.control_steps < 1:
             raise ValueError("duration must round to at least one control period")
+        # a step too small to move the clock at the run's end would never
+        # finish the run
+        end = self.control_steps * self.control_period
+        if end + 0.5 * self.plant_dt == end:
+            raise ValueError(
+                f"timing.plant_dt {self.plant_dt!r} is too small: "
+                f"half a step vanishes at the run's end t={end!r}"
+            )
 
     @property
     def substeps(self) -> int:
@@ -276,14 +284,11 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
     rls_state = rls.initial_state(initial_theta(sc), sc.rls.m0_scale) if adaptive else None
     model: PendulumParams | None = None  # the controller's estimated plant; None: nominal terms
     prev: tuple[PlantState, float] | None = None  # state and applied u, one period ago
-    # a time-varying disturbance at every RK4 stage of the run, in one pass
-    # before the loop: float64, 24 bytes per plant sub-step
-    stages = None
-    if sc.disturbance.kind not in plant.TIME_INVARIANT_KINDS:
-        starts = np.arange(timing.control_steps) * period
-        stages = plant.disturbance_at(
-            sc.disturbance, plant.stage_times(starts, timing.plant_dt, timing.substeps)
-        )
+    # the disturbance at every RK4 stage of the run, in one pass before the
+    # loop; one row per plant sub-step, 24 bytes each unless d is constant
+    stages = plant.stage_disturbance(
+        sc.disturbance, np.arange(timing.control_steps) * period, timing.plant_dt, timing.substeps
+    )
 
     for k in range(timing.control_steps):
         t = k * period
@@ -344,10 +349,7 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
             )
 
             prev = (state, u)
-            state = plant.step(
-                sc.params, state, u, sc.disturbance, t, timing.plant_dt, timing.substeps,
-                None if stages is None else stages[k].tolist(),
-            )
+            state = plant.step(sc.params, state, u, t, timing.plant_dt, stages[k].tolist())
         except IntegrationBlowupError as err:
             aborted, reason = True, str(err)
             break

@@ -357,10 +357,12 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
     """Endpoint error of the plant integrator shrinks 16x per step halving."""
     del seed
     params = PendulumParams()
-    d = DisturbanceSpec()
+    # every step reads the same no-disturbance row: the reference run takes
+    # 1e5 steps, and a list of 1e5 fresh rows raised peak memory by about 11 MB
+    row = plant.stage_disturbance(DisturbanceSpec(), 0.0, 1.0, 1).tolist()
 
     def endpoint(dt: float) -> tuple[float, float]:
-        state = plant.step(params, PlantState(0.1, 0.0), 0.0, d, 0.0, dt, round(0.5 / dt))
+        state = plant.step(params, PlantState(0.1, 0.0), 0.0, 0.0, dt, row * round(0.5 / dt))
         return state.x1, state.x2
 
     dts = (0.004, 0.002, 0.001, 0.0005)

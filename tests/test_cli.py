@@ -302,6 +302,16 @@ def test_simulate_overflowing_disturbance_frequency_is_config_error(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_vanishing_plant_dt_is_config_error(tmp_path, capsys):
+    # 10**298 sub-steps per period: the run hung, or a random disturbance
+    # ended in a numpy traceback
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("timing: {plant_dt: 1.0e-300}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: timing.plant_dt 1e-300 is too small")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_open_bounds_run_cleanly(tmp_path, capsys):
     path = tmp_path / "open.yaml"
     path.write_text("bounds: {u_min: -.inf, u_max: .inf}\ntiming: {duration: 0.5}\n",

@@ -30,6 +30,14 @@ SPECS = [
     DisturbanceSpec(kind="bounded-uniform-random", amplitude=0.5, seed=3),
 ]
 
+
+
+def _step(state, u, spec, t, dt, steps=1):
+    """plant.step over the disturbance rows of spec, as the loop in `sim` hands them."""
+    stages = plant_module.stage_disturbance(spec, t, dt, steps).tolist()
+    return step(PARAMS, state, u, t, dt, stages)
+
+
 # frozen against a 50-digit evaluation of the closed forms (Table-1 constants)
 A_AT_01_05 = 1.5719695314556947
 A_AT_01_00 = 1.5737853048016258
@@ -138,21 +146,21 @@ def test_rewritten_acceleration_identity():
 @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
 def test_step_non_finite_force_is_blowup_naming_u_and_t(u):
     with pytest.raises(IntegrationBlowupError) as info:
-        step(PARAMS, PlantState(0.1, 0.0), u, NO_DIST, 0.25, 0.001, 10)
+        _step(PlantState(0.1, 0.0), u, NO_DIST, 0.25, 0.001, 10)
     assert str(info.value) == f"non-finite force u={u!r} at t=0.250000"
 
 
 def test_step_fixed_point_at_origin():
     state = PlantState(0.0, 0.0)
     for k in range(50):
-        state = step(PARAMS, state, 0.0, NO_DIST, k * 0.01, 0.01)
+        state = _step(state, 0.0, NO_DIST, k * 0.01, 0.01)
     assert state == PlantState(0.0, 0.0)
 
 
 def _integrate(x10, dt, horizon, u=0.0):
     state = PlantState(x10, 0.0)
     for k in range(round(horizon / dt)):
-        state = step(PARAMS, state, u, NO_DIST, k * dt, dt)
+        state = _step(state, u, NO_DIST, k * dt, dt)
     return state
 
 
@@ -178,7 +186,7 @@ def test_open_loop_diverges_from_upright():
     xs = [0.1]
     state = PlantState(0.1, 0.0)
     for k in range(1000):
-        state = step(PARAMS, state, 0.0, NO_DIST, k * 0.001, 0.001)
+        state = _step(state, 0.0, NO_DIST, k * 0.001, 0.001)
         xs.append(state.x1)
     assert abs(xs[-1]) > 0.1
     assert all(b >= a for a, b in zip(xs[:200], xs[1:201]))  # initially monotone
@@ -198,13 +206,13 @@ def test_step_blowup_raises_with_time():
     with pytest.raises(IntegrationBlowupError, match="t="):
         state = PlantState(1.0, 100.0)
         for k in range(200):
-            state = step(PARAMS, state, 0.0, NO_DIST, k * 1e6, 1e6)
+            state = _step(state, 0.0, NO_DIST, k * 1e6, 1e6)
 
 
 def test_step_blowup_from_stage_overflow():
     # x2**2 overflows in the first stage: a float OverflowError inside the step
     with pytest.raises(IntegrationBlowupError, match="t=") as info:
-        step(PARAMS, PlantState(1.0, 1e200), 0.0, NO_DIST, 0.0, 0.001)
+        _step(PlantState(1.0, 1e200), 0.0, NO_DIST, 0.0, 0.001)
     assert isinstance(info.value.__cause__, OverflowError)
 
 
@@ -212,7 +220,7 @@ def test_step_blowup_from_infinite_stage_angle():
     # finite inputs whose second stage angle x1 + dt/2 * x2 is inf, so
     # math.sin raises ValueError inside the step
     with pytest.raises(IntegrationBlowupError, match="t=") as info:
-        step(PARAMS, PlantState(1e308, 1e150), 0.0, NO_DIST, 0.0, 1e160)
+        _step(PlantState(1e308, 1e150), 0.0, NO_DIST, 0.0, 1e160)
     assert type(info.value.__cause__) is ValueError
 
 
@@ -244,7 +252,7 @@ def test_step_bit_identical_to_reference_rk4(spec):
         u = rng.uniform(-40, 40)
         t = rng.uniform(0, 10)
         dt = rng.choice([1e-3, 1e-2, 0.1, 1.0])
-        assert step(PARAMS, state, u, spec, t, dt) == _reference_step(state, u, spec, t, dt)
+        assert _step(state, u, spec, t, dt) == _reference_step(state, u, spec, t, dt)
 
 
 @pytest.mark.parametrize("steps", [1, 10, 37])
@@ -258,56 +266,13 @@ def test_multi_step_bit_identical_to_step_loop(spec, steps):
         dt = float(rng.choice([1e-3, 1e-2, 0.05]))
         expected = state
         for i in range(steps):
-            expected = step(PARAMS, expected, u, spec, t + i * dt, dt)
-        assert step(PARAMS, state, u, spec, t, dt, steps) == expected
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
-def test_multi_step_samples_time_invariant_disturbance_once(monkeypatch, spec):
-    # a time-invariant kind is sampled once per call; a time-varying kind in
-    # one disturbance_at call over the call's whole stage grid, or not at all
-    # when the caller passes the stage samples in
-    samples, grids = [], []
-    make_sampler, sample_at = plant_module.disturbance_sampler, plant_module.disturbance_at
-
-    def counting_sampler(spec):
-        sample = make_sampler(spec)
-
-        def counted(t):
-            samples.append(t)
-            return sample(t)
-
-        return counted
-
-    def counting_at(spec, times):
-        grids.append(np.array(times))
-        return sample_at(spec, times)
-
-    monkeypatch.setattr(plant_module, "disturbance_sampler", counting_sampler)
-    monkeypatch.setattr(plant_module, "disturbance_at", counting_at)
-    dt, steps = 0.001, 10
-    for t in (0.0, 0.37, 1.2345):
-        samples.clear()
-        grids.clear()
-        state = step(PARAMS, PlantState(0.1, 0.0), 1.0, spec, t, dt, steps)
-        if spec.kind in plant_module.TIME_INVARIANT_KINDS:
-            assert samples == [t] and grids == []
-            continue
-        (grid,) = grids
-        expected = [
-            [(ti + offset).hex() for offset in (0.0, 0.5 * dt, dt)]
-            for ti in (t + i * dt for i in range(steps))
-        ]
-        assert [[v.hex() for v in row] for row in grid.tolist()] == expected
-        stages = sample_at(spec, grid).tolist()
-        samples.clear()
-        grids.clear()
-        assert step(PARAMS, PlantState(0.1, 0.0), 1.0, spec, t, dt, steps, stages) == state
-        assert samples == [] and grids == []
+            expected = _step(expected, u, spec, t + i * dt, dt)
+        assert _step(state, u, spec, t, dt, steps) == expected
 
 
 def test_stage_times_match_step_arithmetic():
-    # a whole run's grid, from period starts k*period as the loop forms them
+    # a whole run's grid, from period starts k*period as the loop forms them,
+    # with each stage time rounded as the one IEEE operation step's t_i is
     period, dt, substeps, periods = 0.01, 0.001, 10, 120
     grid = plant_module.stage_times(np.arange(periods) * period, dt, substeps)
     assert grid.shape == (periods, substeps, 3)
@@ -345,21 +310,35 @@ def test_random_disturbance_of_one_time_raises_no_warning():
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
 def test_disturbance_sampler_matches_disturbance_value(spec):
-    # one sampler serves many times in any order, bit for bit as a fresh
-    # disturbance_value call; the sinusoid keeps the left-to-right product
-    sample = plant_module.disturbance_sampler(spec)
+    # disturbance_value samples one time in any order, bit for bit as the
+    # kind's closed form; the sinusoid keeps the left-to-right product
     rng = np.random.default_rng(5)
     times = [0.0, -0.0, 1e-300, 5e-324, -2.5, 1e6] + [float(t) for t in rng.uniform(-10, 10, 200)]
+    closed_form = {
+        "none": lambda t: 0.0,
+        "constant": lambda t: spec.amplitude,
+        "sinusoid": lambda t: spec.amplitude * math.sin(2.0 * math.pi * spec.frequency * t),
+        "bounded-uniform-random": lambda t: random_disturbance(spec.seed, spec.amplitude, t),
+    }[spec.kind]
     for t in times + times[::-1]:
-        assert sample(t).hex() == disturbance_value(spec, t).hex()
-        if spec.kind == "sinusoid":
-            expected = spec.amplitude * math.sin(2.0 * math.pi * spec.frequency * t)
-            assert sample(t).hex() == expected.hex()
-        if spec.kind == "bounded-uniform-random":
-            assert sample(t).hex() == random_disturbance(spec.seed, spec.amplitude, t).hex()
+        assert disturbance_value(spec, t).hex() == closed_form(t).hex()
     # the vectorized form, entry for entry, over the same odd times
     vector = plant_module.disturbance_at(spec, np.array(times)).tolist()
     assert [v.hex() for v in vector] == [disturbance_value(spec, t).hex() for t in times]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_stage_disturbance_is_disturbance_at_stage_times(spec):
+    # the rows step reads, for one period and for a whole run of periods
+    dt, steps = 0.001, 10
+    for starts in (0.37, np.arange(120) * 0.01):
+        rows = plant_module.stage_disturbance(spec, starts, dt, steps)
+        expected = plant_module.disturbance_at(spec, plant_module.stage_times(starts, dt, steps))
+        assert rows.shape == (*np.shape(starts), steps, 3)
+        assert rows.tolist() == expected.tolist()
+        if spec.kind in ("none", "constant"):
+            # one value seen through a zero-stride view: no grid in memory
+            assert rows.strides == (0,) * rows.ndim
 
 
 def test_multi_step_blowup_reports_failing_substep_time():
@@ -368,11 +347,11 @@ def test_multi_step_blowup_reports_failing_substep_time():
     message = f"plant state became non-finite at t={t + 8 * dt:.6f}"
     probe = state
     for i in range(8):
-        probe = step(PARAMS, probe, 0.0, NO_DIST, t + i * dt, dt)
+        probe = _step(probe, 0.0, NO_DIST, t + i * dt, dt)
     with pytest.raises(IntegrationBlowupError) as looped:
-        step(PARAMS, probe, 0.0, NO_DIST, t + 8 * dt, dt)
+        _step(probe, 0.0, NO_DIST, t + 8 * dt, dt)
     with pytest.raises(IntegrationBlowupError) as fused:
-        step(PARAMS, state, 0.0, NO_DIST, t, dt, 10)
+        _step(state, 0.0, NO_DIST, t, dt, 10)
     assert str(looped.value) == str(fused.value) == message
     assert isinstance(fused.value.__cause__, OverflowError)
 
@@ -380,7 +359,7 @@ def test_multi_step_blowup_reports_failing_substep_time():
 @pytest.mark.parametrize("steps", [0, -1])
 def test_step_rejects_fewer_than_one_step(steps):
     with pytest.raises(ValueError, match="steps"):
-        step(PARAMS, PlantState(0.1, 0.0), 0.0, NO_DIST, 0.0, 0.001, steps)
+        step(PARAMS, PlantState(0.1, 0.0), 0.0, 0.0, 0.001, [[0.0, 0.0, 0.0]] * steps)
 
 
 def test_disturbance_kinds():

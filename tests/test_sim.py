@@ -128,54 +128,52 @@ def test_abort_when_leaving_half_plane():
 
 @pytest.mark.parametrize("law", [run, run_exact_baseline], ids=["run", "run_exact_baseline"])
 def test_each_period_is_one_plant_step_call(monkeypatch, law):
-    # the loop integrates a control period with one plant.step call of
-    # `substeps` RK4 steps, through the module attribute, so a wrapper
-    # there sees every plant integration and every blowup; without a
-    # time-varying disturbance it passes no stage samples
+    # the loop integrates a control period with one plant.step call over
+    # `substeps` disturbance rows, through the module attribute, so a
+    # wrapper there sees every plant integration and every blowup
     scenario = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
     expected, _ = law(scenario)
     calls = []
     original = plant_module.step
 
     def counting(*args):
-        calls.append(args[6:])
+        calls.append(args[5])
         return original(*args)
 
     monkeypatch.setattr(plant_module, "step", counting)
     trace, _ = law(scenario)
     assert trace == expected
-    assert calls == [(scenario.timing.substeps, None)] * scenario.timing.control_steps
+    rows = [[0.0, 0.0, 0.0]] * scenario.timing.substeps
+    assert calls == [rows] * scenario.timing.control_steps
 
 
-@pytest.mark.parametrize("kind", ["sinusoid", "bounded-uniform-random"])
-def test_time_varying_disturbance_sampled_once_per_run(monkeypatch, kind):
-    # the whole run's stage samples come from one disturbance_at call before
-    # the loop; plant.step then reads them and samples nothing itself
+@pytest.mark.parametrize("kind", ["none", "constant", "sinusoid", "bounded-uniform-random"])
+def test_disturbance_sampled_once_per_run(monkeypatch, kind):
+    # one stage_disturbance call before the loop samples the whole run, for
+    # every kind; each period's plant.step call then reads `substeps` rows
     disturbance = DisturbanceSpec(kind=kind, amplitude=0.3, frequency=1.5, seed=5)
     scenario = replace(
         sinusoid_scenario(0.4, 0.8), disturbance=disturbance, timing=Timing(0.001, 0.01, 1.2)
     )
     expected, _ = run(scenario)
-    grids, samplers = [], []
-    sample_at, make_sampler = plant_module.disturbance_at, plant_module.disturbance_sampler
+    sampled, rows = [], []
+    sample, integrate = plant_module.stage_disturbance, plant_module.step
 
-    def counting_at(spec, times):
-        grids.append(times.shape)
-        return sample_at(spec, times)
+    def counting_sample(spec, t, dt, steps):
+        sampled.append((spec, np.shape(t), dt, steps))
+        return sample(spec, t, dt, steps)
 
-    def counting_sampler(spec):
-        samplers.append(spec)
-        return make_sampler(spec)
+    def counting_step(params, state, u, t, dt, stages):
+        rows.append(len(stages))
+        return integrate(params, state, u, t, dt, stages)
 
-    monkeypatch.setattr(plant_module, "disturbance_at", counting_at)
-    monkeypatch.setattr(plant_module, "disturbance_sampler", counting_sampler)
+    monkeypatch.setattr(plant_module, "stage_disturbance", counting_sample)
+    monkeypatch.setattr(plant_module, "step", counting_step)
     trace, _ = run(scenario)
     assert trace == expected
     timing = scenario.timing
-    assert grids == [(timing.control_steps, timing.substeps, 3)]
-    # the sinusoid builds its one sampler inside that call; the random
-    # stream is hashed as a whole and builds none
-    assert len(samplers) == (1 if kind == "sinusoid" else 0)
+    assert sampled == [(disturbance, (timing.control_steps,), timing.plant_dt, timing.substeps)]
+    assert rows == [timing.substeps] * timing.control_steps
 
 
 def test_exact_baseline_tracks_ideal_v2_rate():
