@@ -270,6 +270,37 @@ def test_multi_step_bit_identical_to_step_loop(spec, steps):
         assert _step(state, u, spec, t, dt, steps) == expected
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_multi_step_samples_time_invariant_disturbance_once(monkeypatch, spec):
+    # the rows of a multi-step call come from one disturbance_at call: a
+    # time-invariant kind at one time, a time-varying kind over the call's
+    # whole stage grid; step then reads the rows and samples nothing itself
+    grids = []
+    sample_at = plant_module.disturbance_at
+
+    def counting_at(spec, times):
+        grids.append(np.array(times))
+        return sample_at(spec, times)
+
+    monkeypatch.setattr(plant_module, "disturbance_at", counting_at)
+    dt, steps = 0.001, 10
+    for t in (0.0, 0.37, 1.2345):
+        grids.clear()
+        stages = plant_module.stage_disturbance(spec, t, dt, steps)
+        (grid,) = grids
+        if spec.kind in ("none", "constant"):
+            assert grid.shape == ()
+        else:
+            expected = [
+                [(ti + offset).hex() for offset in (0.0, 0.5 * dt, dt)]
+                for ti in (t + i * dt for i in range(steps))
+            ]
+            assert [[v.hex() for v in row] for row in grid.tolist()] == expected
+        grids.clear()
+        step(PARAMS, PlantState(0.1, 0.0), 1.0, t, dt, stages.tolist())
+        assert grids == []
+
+
 def test_stage_times_match_step_arithmetic():
     # a whole run's grid, from period starts k*period as the loop forms them,
     # with each stage time rounded as the one IEEE operation step's t_i is

@@ -176,6 +176,29 @@ def test_disturbance_sampled_once_per_run(monkeypatch, kind):
     assert rows == [timing.substeps] * timing.control_steps
 
 
+@pytest.mark.parametrize("kind", ["sinusoid", "bounded-uniform-random"])
+def test_time_varying_disturbance_sampled_once_per_run(monkeypatch, kind):
+    # the whole run's stage samples come from one disturbance_at call over
+    # the run's stage grid before the loop; plant.step samples nothing itself
+    disturbance = DisturbanceSpec(kind=kind, amplitude=0.3, frequency=1.5, seed=5)
+    scenario = replace(
+        sinusoid_scenario(0.4, 0.8), disturbance=disturbance, timing=Timing(0.001, 0.01, 1.2)
+    )
+    expected, _ = run(scenario)
+    grids = []
+    sample_at = plant_module.disturbance_at
+
+    def counting_at(spec, times):
+        grids.append(np.shape(times))
+        return sample_at(spec, times)
+
+    monkeypatch.setattr(plant_module, "disturbance_at", counting_at)
+    trace, _ = run(scenario)
+    assert trace == expected
+    timing = scenario.timing
+    assert grids == [(timing.control_steps, timing.substeps, 3)]
+
+
 def test_exact_baseline_tracks_ideal_v2_rate():
     scenario = replace(STABILIZE, timing=Timing(0.001, 0.001, 2.0))
     trace, summary = run_exact_baseline(scenario)
