@@ -18,6 +18,7 @@ from .backstepping import (
     lyapunov_v2,
     reference_at,
 )
+from .config import Scenario, Timing
 from .plant import (
     DisturbanceSpec,
     PendulumParams,
@@ -30,8 +31,6 @@ from .qp import QpCoefficients, Weights, assemble, solve_oracle
 from .rls import RlsState, extract_physical, regressor, true_theta
 from .sim import (
     RunSummary,
-    Scenario,
-    Timing,
     TraceRecord,
     default_scenario,
     lyapunov_monitor,

@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import sim, traceio, verify
-from .config import ConfigError, dumps_scenario, load_scenario
-from .sim import RunSummary, Scenario, default_scenario
+from .config import ConfigError, Scenario, dumps_scenario, load_scenario
+from .sim import RunSummary, default_scenario
 
 EXIT_OK = 0
 EXIT_RUN_FAILED = 1

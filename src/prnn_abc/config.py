@@ -1,24 +1,163 @@
-"""Scenario configuration files: a strict YAML key-value tree.
+"""The scenario schema and its value rule, strict YAML files, and sweep cells.
 
-The tree mirrors `Scenario`: one mapping per section field, keyed by the
-section's field names, and the scalar fields at the top level, all in
-declaration order.  Every key is optional and defaults to `Scenario()`;
-unknown keys are rejected with their full path so typos cannot silently fall
-back to defaults, and every value passes `sim.checked_value`, which names the
-key path.  A key given twice in one mapping is rejected with its line.
-Serialization round-trips exactly: parse(dump(parse(x))) yields an identical
-Scenario.  Files are read and written through libyaml when PyYAML has it;
-the constructor and representer are PyYAML's safe ones either way, so the
-parsed tree and the dumped text do not depend on it.
+A file is a key-value tree that mirrors `Scenario`: one mapping per section
+field, keyed by the section's field names, and the scalar fields at the top
+level, all in declaration order.  Every key is optional and defaults to
+`Scenario()`; unknown keys are rejected with their full path so typos cannot
+silently fall back to defaults, and every value passes `checked_value`,
+which names the key path.  A key given twice in one mapping is rejected with
+its line.  A sweep cell is a partial tree over a base scenario; both go
+through `_build`.  Serialization round-trips exactly: parse(dump(parse(x)))
+yields an identical Scenario.  Files are read and written through libyaml
+when PyYAML has it; the constructor and representer are PyYAML's safe ones
+either way, so the parsed tree and the dumped text do not depend on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields, is_dataclass, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .sim import BOUND_KEYS, Scenario, checked_value
+from .backstepping import Gains, ReferenceSignal
+from .plant import DisturbanceSpec, PendulumParams, PlantState
+from .prnn import PrnnConfig
+from .qp import Weights
+
+
+@dataclass(frozen=True)
+class Timing:
+    """Loop timing; the control period must tile into whole plant steps."""
+
+    plant_dt: float = 0.001
+    control_period: float = 0.01
+    duration: float = 5.0
+
+    def __post_init__(self):
+        if not 0 < self.plant_dt <= self.control_period:
+            raise ValueError("need 0 < plant_dt <= control_period")
+        if not self.duration > 0:
+            raise ValueError("duration > 0 required")
+        ratio = self.control_period / self.plant_dt
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ValueError("control_period must be an integer multiple of plant_dt")
+        if self.control_steps < 1:
+            raise ValueError("duration must round to at least one control period")
+        # a step too small to move the clock at the run's end would never
+        # finish the run
+        end = self.control_steps * self.control_period
+        if end + 0.5 * self.plant_dt == end:
+            raise ValueError(
+                f"timing.plant_dt {self.plant_dt!r} is too small: "
+                f"half a step vanishes at the run's end t={end!r}"
+            )
+
+    @property
+    def substeps(self) -> int:
+        return round(self.control_period / self.plant_dt)
+
+    @property
+    def control_steps(self) -> int:
+        return round(self.duration / self.control_period)
+
+
+@dataclass(frozen=True)
+class RlsOptions:
+    """Estimator initialization and gating knobs."""
+
+    theta0_perturbation: float = 0.3
+    m0_scale: float = 100.0
+    warmup_steps: int = 50
+    excitation_gate: float = 1e-8
+    theta0: tuple[float, float, float] | None = None  # explicit initial estimate
+
+    def __post_init__(self):
+        if self.theta0_perturbation < 0:
+            raise ValueError("theta0_perturbation must be >= 0")
+        if not self.m0_scale > 0:
+            raise ValueError("m0_scale > 0 required")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Complete description of one closed-loop experiment.
+
+    Fields and section fields are declared in scenario-file order and carry
+    their file key names, so parse and dump derive from them.
+    """
+
+    params: PendulumParams = field(default_factory=PendulumParams)
+    initial: PlantState = field(default_factory=lambda: PlantState(0.1, 0.0))
+    reference: ReferenceSignal = field(default_factory=ReferenceSignal)
+    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
+    gains: Gains = field(default_factory=Gains)
+    weights: Weights = field(default_factory=Weights)
+    bounds: tuple[float, float] = (-30.0, 30.0)
+    timing: Timing = field(default_factory=Timing)
+    prnn: PrnnConfig = field(default_factory=PrnnConfig)
+    rls: RlsOptions = field(default_factory=RlsOptions)
+    adaptive: bool = False
+    seed: int = 0
+    settle_tol: float = 0.01
+
+    def __post_init__(self):
+        if not (math.isfinite(self.initial.x1) and math.isfinite(self.initial.x2)):
+            raise ValueError(f"initial state must be finite, got {self.initial}")
+        if not self.bounds[0] < self.bounds[1]:
+            raise ValueError("bounds must satisfy u_min < u_max")
+        if not self.settle_tol > 0:
+            raise ValueError("settle_tol > 0 required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the sinusoid's phase 2*pi*f*t must stay finite up to the last RK4
+        # stage time, which lies below twice the run's length, or math.sin
+        # has no value there
+        horizon = 2.0 * self.timing.control_steps * self.timing.control_period
+        if self.disturbance.kind == "sinusoid" and not math.isfinite(
+            2.0 * math.pi * self.disturbance.frequency * horizon
+        ):
+            raise ValueError(
+                f"disturbance.frequency {self.disturbance.frequency!r} makes the sinusoid's "
+                f"phase overflow within the run"
+            )
+
+
+BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries
+_OPEN_KEYS = ("bounds.u_min", "bounds.u_max")  # +-inf here leaves that side of the box open
+
+
+def checked_value(path: str, value, like):
+    """`value` for the scenario key at `path`, typed like that key's default `like`.
+
+    The one value rule of scenario files and sweep grids; a ValueError names
+    the key path.  Numbers must be finite and not NaN, except that the bounds
+    may be +-inf.  Integer keys take integral numbers, so a grid's 3.0 is 3.
+    """
+    if isinstance(like, (bool, str)):
+        if not isinstance(value, type(like)):
+            want = "true/false" if isinstance(like, bool) else "a string"
+            raise ValueError(f"key '{path}' must be {want}, got {value!r}")
+        return value
+    want = "an integer" if isinstance(like, int) else "a number"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(like, int) and isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValueError(f"key '{path}' must be {want}, got {value!r}")
+    if isinstance(like, int):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"key '{path}' must be finite, got {value!r}") from None
+    if math.isnan(number) or (math.isinf(number) and path not in _OPEN_KEYS):
+        want = "a number" if path in _OPEN_KEYS else "finite"
+        raise ValueError(f"key '{path}' must be {want}, got {number!r}")
+    return number
 
 
 class ConfigError(ValueError):
@@ -50,33 +189,29 @@ class _StrictLoader(_SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
-def _mapping(path: str, raw) -> dict:
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section '{path}' must be a mapping, got {raw!r}")
-    return dict(raw)
-
-
 def _finish(prefix: str, data: dict) -> None:
     if data:
         stray = sorted(f"{prefix}{k}" for k in data)
-        raise ConfigError(f"unknown key(s): {', '.join(stray)}")
+        raise ValueError(f"unknown key(s): {', '.join(stray)}")
 
 
 def _theta0(raw) -> tuple[float, float, float] | None:
     if raw is None:
         return None
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ConfigError("key 'rls.theta0' must be a list of 3 numbers")
+        raise ValueError("key 'rls.theta0' must be a list of 3 numbers")
     return tuple(checked_value(f"rls.theta0[{i}]", v, 0.0) for i, v in enumerate(raw))
 
 
-def _parse_section(name: str, raw, default):
-    data = _mapping(name, raw)
+def _parse_section(name: str, raw, base, default):
+    """Section `base` with the keys of `raw` applied, each typed like its `default`."""
+    if raw is not None and not isinstance(raw, dict):
+        raise ValueError(f"section '{name}' must be a mapping, got {raw!r}")
+    data = dict(raw or {})
     if name == "bounds":
         value = tuple(
-            checked_value(f"bounds.{k}", data.pop(k, d), d) for k, d in zip(BOUND_KEYS, default)
+            checked_value(f"bounds.{k}", data.pop(k), d) if k in data else b
+            for k, b, d in zip(BOUND_KEYS, base, default)
         )
     else:
         changes = {}
@@ -87,31 +222,76 @@ def _parse_section(name: str, raw, default):
                     changes[f.name] = _theta0(given)
                 else:
                     changes[f.name] = checked_value(path, given, getattr(default, f.name))
-        value = replace(default, **changes)
+        value = replace(base, **changes)
     _finish(f"{name}.", data)
     return value
+
+
+def _build(tree: dict, base: Scenario) -> Scenario:
+    """`base` with the partial scenario tree `tree` applied, one section at a time.
+
+    Sections the tree leaves out stay as in `base`.  Values are typed like their
+    `Scenario()` default, not like `base`; a bad one raises a ValueError naming its key.
+    """
+    root = dict(tree)
+    defaults = Scenario()
+    changes = {}
+    for f in fields(Scenario):
+        if f.name in root:
+            given, default = root.pop(f.name), getattr(defaults, f.name)
+            if f.name == "bounds" or is_dataclass(default):
+                changes[f.name] = _parse_section(f.name, given, getattr(base, f.name), default)
+            else:
+                changes[f.name] = checked_value(f.name, given, default)
+    _finish("", root)
+    return replace(base, **changes)
 
 
 def parse_scenario(data: dict) -> Scenario:
     """Build a validated Scenario from a parsed configuration tree."""
     if data is not None and not isinstance(data, dict):
         raise ConfigError(f"configuration root must be a mapping, got {type(data).__name__}")
-    root = dict(data or {})
-    defaults = Scenario()
     try:
-        values = {}
-        for f in fields(Scenario):
-            default = getattr(defaults, f.name)
-            if f.name == "bounds" or is_dataclass(default):
-                values[f.name] = _parse_section(f.name, root.pop(f.name, None), default)
-            elif f.name in root:
-                values[f.name] = checked_value(f.name, root.pop(f.name), default)
-        _finish("", root)
-        return Scenario(**values)
-    except ConfigError:
-        raise
+        return _build(data or {}, Scenario())
     except ValueError as err:
         raise ConfigError(str(err)) from err
+
+
+# sweep axis name -> scenario file key path; `bound` sets -|v| <= u <= |v| at once
+GRID_KEYS = {
+    "c1": "gains.c1",
+    "c2": "gains.c2",
+    "T": "weights.T",
+    "R": "weights.R",
+    "vartheta": "prnn.vartheta",
+    "u_min": "bounds.u_min",
+    "u_max": "bounds.u_max",
+    "duration": "timing.duration",
+    "seed": "seed",
+}
+
+
+def apply_grid_point(base: Scenario, coords: dict[str, float]) -> Scenario:
+    """`base` with the axes of one sweep cell applied together, so their order does not matter.
+
+    The cell becomes a partial scenario tree through the `GRID_KEYS` paths, built like a file's.
+    """
+    clash = [key for key in ("u_min", "u_max") if key in coords and "bound" in coords]
+    if clash:  # in either order, one of the two axes would silently override the other
+        raise ValueError(f"sweep parameters 'bound' and {clash[0]!r} both set bounds.{clash[0]}")
+    tree: dict = {}
+    for name, value in coords.items():
+        if name == "bound":
+            v = abs(checked_value("bounds.u_max", value, 0.0))
+            tree["bounds"] = {"u_min": -v, "u_max": v}
+        elif name in GRID_KEYS:
+            section, _, key = GRID_KEYS[name].rpartition(".")
+            (tree.setdefault(section, {}) if section else tree)[key] = value
+        else:
+            raise ValueError(
+                f"unknown sweep parameter {name!r}; supported: {sorted([*GRID_KEYS, 'bound'])}"
+            )
+    return _build(tree, base)
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -121,8 +121,8 @@ def disturbance_at(spec: DisturbanceSpec, times: np.ndarray | float) -> np.ndarr
     """The disturbance of spec at every entry of `times`, an array or a number.
 
     The one statement of each kind.  The random stream is hashed in one
-    vectorized pass; the sinusoid is sampled one entry at a time on math.sin,
-    which np.sin need not match bit for bit.
+    vectorized pass; the sinusoid runs math.sin, which np.sin need not match
+    bit for bit, on times turned into Python floats 4096 at a time.
     """
     times = np.asarray(times, dtype=np.float64)
     if spec.kind == "none":
@@ -130,8 +130,9 @@ def disturbance_at(spec: DisturbanceSpec, times: np.ndarray | float) -> np.ndarr
     if spec.kind == "constant":
         return np.full(times.shape, spec.amplitude)
     if spec.kind == "sinusoid":
-        a, w = spec.amplitude, 2.0 * math.pi * spec.frequency
-        values = (a * math.sin(w * t) for t in times.ravel().tolist())
+        a, w, flat = spec.amplitude, 2.0 * math.pi * spec.frequency, times.ravel()
+        chunks = (flat[i : i + 4096].tolist() for i in range(0, flat.size, 4096))
+        values = (a * math.sin(w * t) for chunk in chunks for t in chunk)
         return np.fromiter(values, np.float64, times.size).reshape(times.shape)
     return _random_values(spec, times)
 

@@ -18,14 +18,13 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import plant, prnn, qp, rls
 from .backstepping import (
-    Gains,
     ReferenceSignal,
     error_coords,
     exact_feedback,
@@ -33,145 +32,10 @@ from .backstepping import (
     lyapunov_v2,
     reference_at,
 )
-from .plant import DisturbanceSpec, IntegrationBlowupError, PendulumParams, PlantState
-from .prnn import PrnnConfig
-from .qp import Weights
+from .config import Scenario, apply_grid_point
+from .plant import IntegrationBlowupError, PendulumParams, PlantState
 
 PRNN_RESIDUAL_SETTLED = 1e-6  # threshold for the time-to-residual summary column
-
-
-@dataclass(frozen=True)
-class Timing:
-    """Loop timing; the control period must tile into whole plant steps."""
-
-    plant_dt: float = 0.001
-    control_period: float = 0.01
-    duration: float = 5.0
-
-    def __post_init__(self):
-        if not 0 < self.plant_dt <= self.control_period:
-            raise ValueError("need 0 < plant_dt <= control_period")
-        if not self.duration > 0:
-            raise ValueError("duration > 0 required")
-        ratio = self.control_period / self.plant_dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("control_period must be an integer multiple of plant_dt")
-        if self.control_steps < 1:
-            raise ValueError("duration must round to at least one control period")
-        # a step too small to move the clock at the run's end would never
-        # finish the run
-        end = self.control_steps * self.control_period
-        if end + 0.5 * self.plant_dt == end:
-            raise ValueError(
-                f"timing.plant_dt {self.plant_dt!r} is too small: "
-                f"half a step vanishes at the run's end t={end!r}"
-            )
-
-    @property
-    def substeps(self) -> int:
-        return round(self.control_period / self.plant_dt)
-
-    @property
-    def control_steps(self) -> int:
-        return round(self.duration / self.control_period)
-
-
-@dataclass(frozen=True)
-class RlsOptions:
-    """Estimator initialization and gating knobs."""
-
-    theta0_perturbation: float = 0.3
-    m0_scale: float = 100.0
-    warmup_steps: int = 50
-    excitation_gate: float = 1e-8
-    theta0: tuple[float, float, float] | None = None  # explicit initial estimate
-
-    def __post_init__(self):
-        if self.theta0_perturbation < 0:
-            raise ValueError("theta0_perturbation must be >= 0")
-        if not self.m0_scale > 0:
-            raise ValueError("m0_scale > 0 required")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Complete description of one closed-loop experiment.
-
-    Fields and section fields are declared in scenario-file order and carry
-    their file key names, so `config` derives parse and dump from them.
-    """
-
-    params: PendulumParams = field(default_factory=PendulumParams)
-    initial: PlantState = field(default_factory=lambda: PlantState(0.1, 0.0))
-    reference: ReferenceSignal = field(default_factory=ReferenceSignal)
-    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
-    gains: Gains = field(default_factory=Gains)
-    weights: Weights = field(default_factory=Weights)
-    bounds: tuple[float, float] = (-30.0, 30.0)
-    timing: Timing = field(default_factory=Timing)
-    prnn: PrnnConfig = field(default_factory=PrnnConfig)
-    rls: RlsOptions = field(default_factory=RlsOptions)
-    adaptive: bool = False
-    seed: int = 0
-    settle_tol: float = 0.01
-
-    def __post_init__(self):
-        if not (math.isfinite(self.initial.x1) and math.isfinite(self.initial.x2)):
-            raise ValueError(f"initial state must be finite, got {self.initial}")
-        if not self.bounds[0] < self.bounds[1]:
-            raise ValueError("bounds must satisfy u_min < u_max")
-        if not self.settle_tol > 0:
-            raise ValueError("settle_tol > 0 required")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the sinusoid's phase 2*pi*f*t must stay finite up to the last RK4
-        # stage time, which lies below twice the run's length, or math.sin
-        # has no value there
-        horizon = 2.0 * self.timing.control_steps * self.timing.control_period
-        if self.disturbance.kind == "sinusoid" and not math.isfinite(
-            2.0 * math.pi * self.disturbance.frequency * horizon
-        ):
-            raise ValueError(
-                f"disturbance.frequency {self.disturbance.frequency!r} makes the sinusoid's "
-                f"phase overflow within the run"
-            )
-
-
-BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries
-_OPEN_KEYS = ("bounds.u_min", "bounds.u_max")  # +-inf here leaves that side of the box open
-
-
-def checked_value(path: str, value, like):
-    """`value` for the scenario key at `path`, typed like that key's default `like`.
-
-    The one value rule of scenario files and sweep grids; a ValueError names
-    the key path.  Numbers must be finite and not NaN, except that the bounds
-    may be +-inf.  Integer keys take integral numbers, so a grid's 3.0 is 3.
-    """
-    if isinstance(like, (bool, str)):
-        if not isinstance(value, type(like)):
-            want = "true/false" if isinstance(like, bool) else "a string"
-            raise ValueError(f"key '{path}' must be {want}, got {value!r}")
-        return value
-    want = "an integer" if isinstance(like, int) else "a number"
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(like, int) and isinstance(value, float) and not value.is_integer())
-    ):
-        raise ValueError(f"key '{path}' must be {want}, got {value!r}")
-    if isinstance(like, int):
-        return int(value)
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"key '{path}' must be finite, got {value!r}") from None
-    if math.isnan(number) or (math.isinf(number) and path not in _OPEN_KEYS):
-        want = "a number" if path in _OPEN_KEYS else "finite"
-        raise ValueError(f"key '{path}' must be {want}, got {number!r}")
-    return number
 
 
 def default_scenario() -> Scenario:
@@ -286,11 +150,14 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
     prev: tuple[PlantState, float] | None = None  # state and applied u, one period ago
     # the disturbance at every RK4 stage of the run, in one pass before the
     # loop; one row per plant sub-step, 24 bytes each unless d is constant
-    stages = plant.stage_disturbance(
-        sc.disturbance, np.arange(timing.control_steps) * period, timing.plant_dt, timing.substeps
-    )
+    try:
+        starts = np.arange(timing.control_steps) * period
+        stages = plant.stage_disturbance(sc.disturbance, starts, timing.plant_dt, timing.substeps)
+    except MemoryError:  # a valid duration too long to sample ahead aborts before its start
+        aborted, stages, n = True, (), timing.control_steps * timing.substeps
+        reason = f"disturbance of {n} plant sub-steps does not fit in memory at t=0.000000"
 
-    for k in range(timing.control_steps):
+    for k, rows in enumerate(stages):
         t = k * period
         if not state.controllable():  # the state is finite: plant.step checks each sub-step
             aborted, reason = True, f"|x1| >= pi/2 at t={t:.6f} (x1={state.x1:.4f} rad)"
@@ -349,7 +216,7 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
             )
 
             prev = (state, u)
-            state = plant.step(sc.params, state, u, t, timing.plant_dt, stages[k].tolist())
+            state = plant.step(sc.params, state, u, t, timing.plant_dt, rows.tolist())
         except IntegrationBlowupError as err:
             aborted, reason = True, str(err)
             break
@@ -463,55 +330,6 @@ def lyapunov_monitor(trace: list[TraceRecord], tol: float | None = None) -> list
         if fd > predicted + tol:
             out.append(Violation(index=k, t=r.t, v2_rate=fd, allowed=predicted + tol))
     return out
-
-
-# sweep axis name -> scenario file key path; `bound` sets -|v| <= u <= |v| at once
-GRID_KEYS = {
-    "c1": "gains.c1",
-    "c2": "gains.c2",
-    "T": "weights.T",
-    "R": "weights.R",
-    "vartheta": "prnn.vartheta",
-    "u_min": "bounds.u_min",
-    "u_max": "bounds.u_max",
-    "duration": "timing.duration",
-    "seed": "seed",
-}
-
-
-def apply_grid_point(base: Scenario, coords: dict[str, float]) -> Scenario:
-    """`base` with the axes of one sweep cell applied together, so their order does not matter.
-
-    Each value is checked on its own; each section is then rebuilt once, so
-    its own checks see the whole cell.
-    """
-    clash = [key for key in ("u_min", "u_max") if key in coords and "bound" in coords]
-    if clash:  # in either order, one of the two axes would silently override the other
-        raise ValueError(f"sweep parameters 'bound' and {clash[0]!r} both set bounds.{clash[0]}")
-    defaults = Scenario()
-    sections: dict[str, dict] = {}  # section ("" for top-level keys) -> {key: value}
-    for name, value in coords.items():
-        if name == "bound":
-            v = abs(checked_value("bounds.u_max", value, 0.0))
-            sections["bounds"] = {"u_min": -v, "u_max": v}
-        elif name in GRID_KEYS:
-            path = GRID_KEYS[name]
-            section, _, key = path.rpartition(".")
-            node = getattr(defaults, section) if section else defaults
-            like = 0.0 if section == "bounds" else getattr(node, key)
-            sections.setdefault(section, {})[key] = checked_value(path, value, like)
-        else:
-            raise ValueError(
-                f"unknown sweep parameter {name!r}; supported: {sorted([*GRID_KEYS, 'bound'])}"
-            )
-    changes = sections.pop("", {})
-    for section, values in sections.items():
-        if section == "bounds":
-            bounds = {**dict(zip(BOUND_KEYS, base.bounds)), **values}
-            changes["bounds"] = tuple(bounds[key] for key in BOUND_KEYS)
-        else:
-            changes[section] = replace(getattr(base, section), **values)
-    return replace(base, **changes)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ import numpy as np
 
 from . import plant, prnn, qp, rls, sim
 from .backstepping import Gains, ReferenceSignal
+from .config import Scenario, Timing
 from .plant import DisturbanceSpec, PendulumParams, PlantState
 from .prnn import PrnnConfig
 from .qp import QpCoefficients
 # regressor is not called here, but the benchmark's traced pass wraps verify.regressor
 from .rls import regressor, true_theta  # noqa: F401
-from .sim import Scenario, Timing, lyapunov_monitor
+from .sim import lyapunov_monitor
 
 
 @dataclass

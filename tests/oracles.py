@@ -9,9 +9,8 @@ import struct
 from pathlib import Path
 
 from prnn_abc.backstepping import ErrorCoords, Gains
-from prnn_abc.config import dumps_scenario
+from prnn_abc.config import Scenario, dumps_scenario
 from prnn_abc.plant import PendulumParams, PlantState, drift_term, gain_term
-from prnn_abc.sim import Scenario
 
 
 def derivatives(

@@ -9,8 +9,9 @@ import pytest
 
 from oracles import save_scenario
 from prnn_abc.cli import main
+from prnn_abc.config import Scenario, Timing
 from prnn_abc.plant import PlantState
-from prnn_abc.sim import Scenario, Timing, default_scenario
+from prnn_abc.sim import default_scenario
 from prnn_abc.traceio import TRACE_COLUMNS, read_trace
 
 
@@ -113,6 +114,21 @@ def test_simulate_abort_exit_code(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert (out / "trace.csv").exists()  # partial trace still written
+
+
+def test_simulate_out_of_memory_before_the_loop_is_an_abort(tmp_path, capsys, monkeypatch,
+                                                            quick_config):
+    # a valid duration far too long to sample ahead exhausted memory in a traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("prnn_abc.plant.stage_disturbance", exhausted)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(quick_config), "--out", str(out)]) == 1
+    reason = "disturbance of 500 plant sub-steps does not fit in memory at t=0.000000"
+    assert json.loads((out / "summary.json").read_text())["abort_reason"] == reason
+    assert f"run aborted: {reason}" in capsys.readouterr().err
+    assert read_trace(out / "trace.csv") == []
 
 
 def test_validate_accepts_fresh_trace(tmp_path, quick_config):

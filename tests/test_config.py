@@ -1,18 +1,24 @@
 """Scenario configuration parsing, validation, and round-tripping."""
 
+import math
+from dataclasses import replace
+
 import pytest
 import yaml
 
 from oracles import save_scenario
 from prnn_abc.config import (
+    GRID_KEYS,
     ConfigError,
+    Scenario,
     _StrictLoader,
+    apply_grid_point,
     dumps_scenario,
     load_scenario,
     parse_scenario,
     scenario_to_dict,
 )
-from prnn_abc.sim import Scenario, default_scenario, sinusoid_scenario
+from prnn_abc.sim import default_scenario, sinusoid_scenario
 
 
 def test_empty_config_gives_defaults():
@@ -288,3 +294,35 @@ def test_libyaml_reads_and_writes_like_pure_python(scenario):
     # repr tells -0.0 from 0.0 and keeps every float digit
     assert repr(yaml.load(text, Loader=_StrictLoader)) == repr(yaml.safe_load(text))
     assert parse_scenario(yaml.load(text, Loader=_StrictLoader)) == scenario
+
+
+def _file_tree(base, name, value):
+    """`base` as a file tree with the keys that grid axis `name` sets to `value`."""
+    tree = scenario_to_dict(base)
+    if name == "bound":
+        # a NaN bound is rejected on its u_max, before a u_min exists
+        tree["bounds"] = {"u_max": abs(value)}
+        if not math.isnan(value):
+            tree["bounds"]["u_min"] = -abs(value)
+        return tree
+    section, _, key = GRID_KEYS[name].rpartition(".")
+    (tree[section] if section else tree)[key] = value
+    return tree
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as err:
+        return str(err)
+
+
+# values are typed like their Scenario() default, not like the base: over the
+# integer bounds (-2, 2), u_max 5.5 and bound 2.5 are numbers, not bad integers
+@pytest.mark.parametrize("base", [default_scenario(), replace(default_scenario(), bounds=(-2, 2))])
+@pytest.mark.parametrize("name", sorted([*GRID_KEYS, "bound"]))
+@pytest.mark.parametrize("value", [3.0, 2.5, -1.0, 0.0, math.inf, math.nan])
+def test_grid_cell_builds_like_file_tree(base, name, value):
+    cell = _outcome(apply_grid_point, base, {name: value})
+    file = _outcome(parse_scenario, _file_tree(base, name, value))
+    assert cell == file

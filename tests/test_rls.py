@@ -7,6 +7,7 @@ import pytest
 
 from oracles import derivatives
 from prnn_abc.backstepping import ErrorCoords, Gains, error_coords, reference_at
+from prnn_abc.config import RlsOptions, Timing
 from prnn_abc.plant import PendulumParams, PlantState, drift_term, gain_term
 from prnn_abc import rls, sim
 from prnn_abc.qp import Weights, assemble
@@ -85,8 +86,8 @@ def test_samples_from_trace_rebuild_the_applied_stream(monkeypatch):
     scenario = replace(
         sim.sinusoid_scenario(),
         adaptive=True,
-        timing=sim.Timing(0.001, 0.01, 1.0),
-        rls=sim.RlsOptions(excitation_gate=2.0),
+        timing=Timing(0.001, 0.01, 1.0),
+        rls=RlsOptions(excitation_gate=2.0),
     )
     trace, summary = sim.run(scenario)
     assert not summary.aborted
@@ -237,7 +238,7 @@ def test_adaptive_coefficients_doubled_length():
 def test_adaptive_coefficients_nonphysical_fallback():
     # theta1 < 0 means m < 0, and the gate keeps the estimate there for the
     # whole run: every period falls back to the nominal QP of the plain run
-    base = replace(sim.default_scenario(), timing=replace(sim.Timing(), duration=0.5))
+    base = replace(sim.default_scenario(), timing=replace(Timing(), duration=0.5))
     options = replace(base.rls, warmup_steps=0, theta0=(-0.05, 2.0, 1.8), excitation_gate=1e3)
     with pytest.warns(UserWarning, match="nonphysical"):
         trace, summary = sim.run(replace(base, adaptive=True, rls=options))
@@ -252,8 +253,8 @@ def test_unidentifiable_period_keeps_the_last_model(monkeypatch):
         sim.sinusoid_scenario(),
         adaptive=True,
         seed=1,
-        rls=replace(sim.RlsOptions(), warmup_steps=0),
-        timing=replace(sim.Timing(), duration=1.0),
+        rls=replace(RlsOptions(), warmup_steps=0),
+        timing=replace(Timing(), duration=1.0),
     )
     extract = rls.extract_physical
     models, fresh = [], []  # model the loop holds, and the fresh extraction, per period

@@ -10,13 +10,11 @@ import pytest
 import prnn_abc.plant as plant_module
 from prnn_abc import sim
 from prnn_abc.backstepping import Gains, ReferenceSignal
+from prnn_abc.config import BOUND_KEYS, GRID_KEYS, Scenario, Timing, apply_grid_point
 from prnn_abc.plant import DisturbanceSpec, PlantState
 from prnn_abc.prnn import PrnnConfig
-from prnn_abc.qp import QpCoefficients
+from prnn_abc.qp import QpCoefficients, Weights
 from prnn_abc.sim import (
-    Scenario,
-    Timing,
-    apply_grid_point,
     default_scenario,
     lyapunov_monitor,
     run,
@@ -449,13 +447,13 @@ def test_apply_grid_point_unknown_key():
         apply_grid_point(STABILIZE, {"mass": 2.0})
 
 
-@pytest.mark.parametrize("name", sorted(sim.GRID_KEYS))
+@pytest.mark.parametrize("name", sorted(GRID_KEYS))
 def test_grid_axis_sets_its_key_path(name):
-    section, _, key = sim.GRID_KEYS[name].rpartition(".")
+    section, _, key = GRID_KEYS[name].rpartition(".")
     value = -7.0 if name == "u_min" else 7.0
     scenario = apply_grid_point(STABILIZE, {name: value})
     if section == "bounds":
-        got = dict(zip(sim.BOUND_KEYS, scenario.bounds))[key]
+        got = dict(zip(BOUND_KEYS, scenario.bounds))[key]
     else:
         got = getattr(getattr(scenario, section) if section else scenario, key)
     assert got == value and type(got) is type(getattr(STABILIZE, key, 0.0))
@@ -483,7 +481,7 @@ def test_grid_bound_clashes_with_either_side(side):
     [
         ({"u_max": -40.0, "u_min": -50.0}, "bounds", (-50.0, -40.0)),
         ({"u_min": 40.0, "u_max": 50.0}, "bounds", (40.0, 50.0)),
-        ({"R": 200.0, "T": 1000.0}, "weights", sim.Weights(T=1000.0, R=200.0)),
+        ({"R": 200.0, "T": 1000.0}, "weights", Weights(T=1000.0, R=200.0)),
     ],
 )
 def test_grid_cell_axes_apply_together(cell, field, want):

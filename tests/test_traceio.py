@@ -7,8 +7,9 @@ import math
 import pytest
 
 from prnn_abc.backstepping import ReferenceSignal
+from prnn_abc.config import Scenario, Timing
 from prnn_abc.plant import PlantState
-from prnn_abc.sim import Scenario, Timing, run
+from prnn_abc.sim import run
 from prnn_abc.traceio import (
     TRACE_COLUMNS,
     TraceFormatError,
