@@ -9,6 +9,9 @@ so that dx2/dt = A(x) + B(x) * u + d.
 d is a pure function of (DisturbanceSpec, t).  `stage_disturbance` samples
 it ahead of the integration, at every RK4 stage time of a whole run at once,
 and `step` integrates the rows it is given without knowing how d is made.
+For speed, `step` writes the acceleration out at each of its four RK4
+stages, in the exact expression order of `drift_term` and `gain_term`;
+tests/test_plant.py checks it bit for bit against textbook RK4 over them.
 """
 
 from __future__ import annotations
@@ -196,7 +199,8 @@ def step(
     values at t_i, t_i + dt/2 (shared by k2 and k3) and t_i + dt, as
     `stage_disturbance(spec, t, dt, steps).tolist()` gives them.  Raises
     IntegrationBlowupError, naming the time, for a non-finite u and as soon
-    as a step leaves the finite range.
+    as a step leaves the finite range.  The stage acceleration is written
+    out four times; `test_step_stage_copies_match_textbook_rk4` pins them.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -204,39 +208,43 @@ def step(
         raise ValueError("steps must be >= 1, got no rows in stages")
     if not math.isfinite(u):
         raise IntegrationBlowupError(f"non-finite force u={u!r} at t={t:.6f}")
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
     g, m, l = params.g, params.m, params.l
     m_sum = params.m_c + m
     ml = m * l
-
-    def accel(x1: float, x2: float, d: float) -> float:
-        # drift_term + gain_term * u + d with their exact expression order, so
-        # a step matches textbook RK4 over those terms bit for bit
-        s, c = math.sin(x1), math.cos(x1)
-        den = l * (4.0 / 3.0 - m * c**2 / m_sum)
-        return (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d
-
     x1, x2 = state.x1, state.x2
-    h = 0.5 * dt
+    h, sixth = 0.5 * dt, dt / 6.0
     for i, (d_start, d_mid, d_end) in enumerate(stages):
-        ti = t + i * dt
         try:
-            k1x, k1v = x2, accel(x1, x2, d_start)
+            # each stage is drift_term + gain_term * u + d in their exact
+            # expression order, the same in all four copies; k1x is x2
+            s, c = sin(x1), cos(x1)
+            den = l * (4.0 / 3.0 - m * c**2 / m_sum)
+            k1v = (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d_start
             k2x = x2 + h * k1v
-            k2v = accel(x1 + h * k1x, k2x, d_mid)
+            s, c = sin(y := x1 + h * x2), cos(y)
+            den = l * (4.0 / 3.0 - m * c**2 / m_sum)
+            k2v = (g * s - ml * k2x**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d_mid
             k3x = x2 + h * k2v
-            k3v = accel(x1 + h * k2x, k3x, d_mid)
+            s, c = sin(y := x1 + h * k2x), cos(y)
+            den = l * (4.0 / 3.0 - m * c**2 / m_sum)
+            k3v = (g * s - ml * k3x**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d_mid
             k4x = x2 + dt * k3v
-            k4v = accel(x1 + dt * k3x, k4x, d_end)
+            s, c = sin(y := x1 + dt * k3x), cos(y)
+            den = l * (4.0 / 3.0 - m * c**2 / m_sum)
+            k4v = (g * s - ml * k4x**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d_end
         except (OverflowError, ValueError) as err:
             # stage values left the representable range: x2**2 overflows, or
-            # math.sin/cos meet an infinite angle
+            # sin/cos meet an infinite angle
             raise IntegrationBlowupError(
-                f"plant state became non-finite at t={ti:.6f}"
+                f"plant state became non-finite at t={t + i * dt:.6f}"
             ) from err
         x1, x2 = (
-            x1 + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            x2 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+            x1 + sixth * (x2 + 2.0 * k2x + 2.0 * k3x + k4x),
+            x2 + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
         )
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise IntegrationBlowupError(f"plant state became non-finite at t={ti + dt:.6f}")
+        if not (isfinite(x1) and isfinite(x2)):
+            raise IntegrationBlowupError(
+                f"plant state became non-finite at t={t + i * dt + dt:.6f}"
+            )
     return PlantState(x1, x2)

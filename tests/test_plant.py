@@ -224,6 +224,88 @@ def test_step_blowup_from_infinite_stage_angle():
     assert type(info.value.__cause__) is ValueError
 
 
+def _textbook_stages(state, u, dt, row):
+    """The four RK4 stages (dx1, dx2) of one step over the oracle derivatives, lazily.
+
+    row holds d at the start, middle (k2 and k3) and end of the step.
+    """
+    d_start, d_mid, d_end = row
+    x1, x2 = state.x1, state.x2
+    k = derivatives(PARAMS, state, u, d_start)
+    yield k
+    k = derivatives(PARAMS, PlantState(x1 + 0.5 * dt * k[0], x2 + 0.5 * dt * k[1]), u, d_mid)
+    yield k
+    k = derivatives(PARAMS, PlantState(x1 + 0.5 * dt * k[0], x2 + 0.5 * dt * k[1]), u, d_mid)
+    yield k
+    yield derivatives(PARAMS, PlantState(x1 + dt * k[0], x2 + dt * k[1]), u, d_end)
+
+
+def _textbook_rk4(state, u, dt, rows):
+    """Textbook RK4, one step per row; raises where an oracle stage leaves the finite range."""
+    for row in rows:
+        k1, k2, k3, k4 = _textbook_stages(state, u, dt, row)
+        state = PlantState(
+            state.x1 + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            state.x2 + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        )
+    return state
+
+
+@pytest.mark.parametrize("steps", [1, 10, 37])
+def test_step_stage_copies_match_textbook_rk4(steps):
+    # plant.step writes the stage acceleration out four times; exact
+    # equality with one oracle, on rows whose three values differ, fails as
+    # soon as one copy is edited alone (a d or an x2 swapped, x*x for x**2).
+    # Steps up to 1.0 keep a one-ulp stage difference from rounding away.
+    rng = np.random.default_rng(1600 + steps)
+    compared = 0
+    for _ in range(400):
+        state = PlantState(float(rng.uniform(-1.4, 1.4)), float(rng.uniform(-6, 6)))
+        u = float(rng.uniform(-40, 40))
+        t = float(rng.uniform(0, 10))
+        dt = float(rng.choice([1e-3, 1e-2, 0.1, 0.5, 1.0]))
+        rows = rng.uniform(-2, 2, (steps, 3)).tolist()
+        try:
+            expected = _textbook_rk4(state, u, dt, rows)
+        except (OverflowError, ValueError):
+            expected = None
+        if expected is None or not (math.isfinite(expected.x1) and math.isfinite(expected.x2)):
+            with pytest.raises(IntegrationBlowupError):
+                step(PARAMS, state, u, t, dt, rows)
+            continue
+        assert step(PARAMS, state, u, t, dt, rows) == expected
+        compared += 1
+    assert compared >= 300
+
+
+def _first_overflow(state, u, dt, rows):
+    """(sub-step, stage) at which the oracle RK4 first raises OverflowError."""
+    for i, row in enumerate(rows):
+        stages = _textbook_stages(state, u, dt, row)
+        for stage in range(1, 5):
+            try:
+                next(stages)
+            except OverflowError:
+                return i, stage
+        state = _textbook_rk4(state, u, dt, [row])
+    return None
+
+
+@pytest.mark.parametrize(
+    "stage, x2, u, dt, substep",
+    [(1, 1.0, 100.0, 1.0, 5), (2, 1.0, 1000.0, 1.0, 2), (3, 10.0, 1000.0, 0.5, 2), (4, 1.0, 1000.0, 0.5, 2)],
+)
+def test_step_blowup_in_each_stage_names_its_substep(stage, x2, u, dt, substep):
+    # a large finite u grows x2 until the squared velocity of the given
+    # stage overflows first, in a later sub-step of one multi-step call
+    state, t, rows = PlantState(0.1, x2), 0.25, [[0.0, 0.0, 0.0]] * 6
+    assert _first_overflow(state, u, dt, rows) == (substep, stage)
+    with pytest.raises(IntegrationBlowupError) as info:
+        step(PARAMS, state, u, t, dt, rows)
+    assert str(info.value) == f"plant state became non-finite at t={t + substep * dt:.6f}"
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
 def _reference_step(state, u, spec, t, dt):
     """Textbook RK4 over the oracle derivatives, sampling d at all four stages."""
 
