@@ -143,8 +143,6 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
         if key in grid:
             raise ConfigError(f"grid name {key!r} given more than once")
         grid[key] = values
-    if not grid:
-        raise ConfigError("empty sweep grid")
     return grid
 
 

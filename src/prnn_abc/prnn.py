@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 from .qp import QpCoefficients, solve_oracle
 
+MAX_CHUNKS = 2_000_000  # relax_until gives up after this many chunks
+
 
 class IntegrationDivergedError(RuntimeError):
     """Network integration left the finite range."""
@@ -139,21 +141,16 @@ def relax(phi: float, q: QpCoefficients, cfg: PrnnConfig, duration: float) -> Re
 
 
 def relax_until(
-    phi: float,
-    q: QpCoefficients,
-    cfg: PrnnConfig,
-    tol: float,
-    step: float,
-    max_steps: int = 2_000_000,
+    phi: float, q: QpCoefficients, cfg: PrnnConfig, tol: float, step: float
 ) -> RelaxResult:
     """Integrate from phi with frozen coefficients until the residual reaches tol.
 
     Verification-oriented variant of relax(): advances the exact flow in
-    chunks of `step` seconds until |PR(u - phi) - u| <= tol or max_steps
+    chunks of `step` seconds until |PR(u - phi) - u| <= tol or MAX_CHUNKS
     chunks are spent; substeps counts the chunks taken.
     """
     result = _result(phi, q, 0)
-    for taken in range(1, max_steps + 1):
+    for taken in range(1, MAX_CHUNKS + 1):
         if result.residual <= tol:
             return result
         phi, _ = _flow(result.phi, q, cfg.vartheta, step)

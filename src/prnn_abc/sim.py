@@ -227,6 +227,10 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
         except ArithmeticError as err:  # e.g. x2**2 overflowing at an extreme finite state
             aborted, reason = True, f"{type(err).__name__} {err} at t={t:.6f}"
             break
+        except MemoryError:  # e.g. the rows of a period with millions of sub-steps
+            aborted, n = True, timing.substeps
+            reason = f"period of {n} plant sub-steps does not fit in memory at t={t:.6f}"
+            break
 
     theta_final = rls_state.theta_hat if adaptive else None
     summary = _summarize(records, sc, aborted, reason, nonphysical, theta_final)
@@ -309,19 +313,18 @@ class Violation:
     allowed: float  # predicted rate plus tolerance
 
 
-def lyapunov_monitor(trace: list[TraceRecord], tol: float | None = None) -> list[Violation]:
+def lyapunov_monitor(trace: list[TraceRecord]) -> list[Violation]:
     """Check logged V2 decay against the closed-loop prediction.
 
     The predicted rate at step k is the ideal -c1*S1^2 - c2*S2^2 plus the
     network correction S2*B*phi/Q; a violation is a step whose finite-
-    difference V2 rate exceeds prediction + tol.  Default tol is
-    10*dt + 1e-6 with dt the record spacing.
+    difference V2 rate exceeds prediction + tol, where tol is 10*dt + 1e-6
+    with dt the record spacing.
     """
     if len(trace) < 2:
         return []
     dt = trace[1].t - trace[0].t
-    if tol is None:
-        tol = 10.0 * dt + 1e-6
+    tol = 10.0 * dt + 1e-6
     out = []
     for k in range(len(trace) - 1):
         r = trace[k]

@@ -26,6 +26,10 @@ from .qp import QpCoefficients
 from .rls import regressor, true_theta  # noqa: F401
 from .sim import lyapunov_monitor
 
+ORACLE_QPS = 1000  # random QPs in prnn-oracle
+GRADIENT_POINTS = 1000  # random points in gradient
+PROJECTION_PAIRS = 100_000  # random pairs in projection
+
 
 @dataclass
 class SuiteResult:
@@ -49,7 +53,7 @@ def _random_qp(rng: np.random.Generator) -> QpCoefficients:
     return QpCoefficients(P=p, Q=q, u_min=float(lo), u_max=float(hi))
 
 
-def suite_prnn_oracle(seed: int = 0, n: int = 1000) -> SuiteResult:
+def suite_prnn_oracle(seed: int = 0) -> SuiteResult:
     """Network equilibrium equals the closed-form QP solution.
 
     Random frozen coefficients, relaxation to residual 1e-9, comparison
@@ -60,7 +64,7 @@ def suite_prnn_oracle(seed: int = 0, n: int = 1000) -> SuiteResult:
     cfg = PrnnConfig(vartheta=vartheta)
     worst = 0.0
     unconverged = 0
-    for _ in range(n):
+    for _ in range(ORACLE_QPS):
         coeffs = _random_qp(rng)
         phi0 = rng.uniform(-50.0, 50.0)
         # chunks of one time constant of the slower regime
@@ -75,7 +79,7 @@ def suite_prnn_oracle(seed: int = 0, n: int = 1000) -> SuiteResult:
         name="prnn-oracle",
         passed=passed,
         details={"worst_u_error": worst, "unconverged": float(unconverged)},
-        lines=[f"{n} random QPs, worst |u - u*| = {worst:.3e} (tolerance 1e-6)"],
+        lines=[f"{ORACLE_QPS} random QPs, worst |u - u*| = {worst:.3e} (tolerance 1e-6)"],
     )
 
 
@@ -334,11 +338,11 @@ def suite_saturation(seed: int = 0) -> SuiteResult:
     )
 
 
-def suite_gradient(seed: int = 0, n: int = 1000) -> SuiteResult:
+def suite_gradient(seed: int = 0) -> SuiteResult:
     """QP gradient against central finite differences of the cost."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(GRADIENT_POINTS):
         coeffs = _random_qp(rng)
         u = rng.uniform(-10.0, 10.0)
         h = 1e-4 * (1.0 + abs(u))
@@ -350,7 +354,8 @@ def suite_gradient(seed: int = 0, n: int = 1000) -> SuiteResult:
         name="gradient",
         passed=passed,
         details={"worst_relative_error": worst},
-        lines=[f"{n} random points, worst relative FD error = {worst:.3e} (tolerance 1e-8)"],
+        lines=[f"{GRADIENT_POINTS} random points, worst relative FD error = {worst:.3e} "
+               "(tolerance 1e-8)"],
     )
 
 
@@ -387,20 +392,23 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
     )
 
 
-def suite_projection(seed: int = 0, n: int = 100_000) -> SuiteResult:
-    """Projection is non-expansive and satisfies the obtuse-angle inequality."""
+def suite_projection(seed: int = 0) -> SuiteResult:
+    """prnn.project is the clamp, non-expansive and obtuse-angled."""
     rng = np.random.default_rng(seed)
+    n = PROJECTION_PAIRS
     lo, hi = np.sort(rng.uniform(-5.0, 5.0, 2))
     if hi - lo < 1e-3:
         hi = lo + 1e-3
     a = rng.uniform(-20.0, 20.0, n)
     b = rng.uniform(-20.0, 20.0, n)
-    pa, pb = np.clip(a, lo, hi), np.clip(b, lo, hi)
+    box = (float(lo), float(hi))
+    pa, pb = (np.array([prnn.project(v, box) for v in x.tolist()]) for x in (a, b))
+    is_clamp = np.array_equal(pa, np.clip(a, lo, hi)) and np.array_equal(pb, np.clip(b, lo, hi))
     worst_expansion = float(np.max(np.abs(pa - pb) - np.abs(a - b)))
     sigma = rng.uniform(lo, hi, n)  # arbitrary feasible points
     inner = (pa - sigma) * (a - pa)
     worst_angle = float(np.min(inner))
-    passed = worst_expansion <= 0.0 and worst_angle >= -1e-12
+    passed = is_clamp and worst_expansion <= 0.0 and worst_angle >= -1e-12
     return SuiteResult(
         name="projection",
         passed=passed,
@@ -408,7 +416,7 @@ def suite_projection(seed: int = 0, n: int = 100_000) -> SuiteResult:
         lines=[
             f"{n} pairs: max(|PR(a)-PR(b)| - |a-b|) = {worst_expansion:.3e}, "
             f"min (PR(a)-s)(a-PR(a)) = {worst_angle:.3e}"
-        ],
+        ] + ([] if is_clamp else ["prnn.project differs from np.clip"]),
     )
 
 

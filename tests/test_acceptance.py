@@ -17,7 +17,7 @@ def _check(result):
 
 def test_criterion_1_network_matches_qp_oracle():
     # >= 1000 random frozen QPs, relax to residual 1e-9, |u - clamp(-P/Q)| < 1e-6
-    _check(verify.suite_prnn_oracle(seed=0, n=1000))
+    _check(verify.suite_prnn_oracle(seed=0))
 
 
 def test_criterion_2_interior_exponential_decay():
@@ -57,7 +57,7 @@ def test_criterion_7_saturation_handling():
 
 
 def test_criterion_8a_gradient_matches_finite_differences():
-    _check(verify.suite_gradient(seed=0, n=1000))
+    _check(verify.suite_gradient(seed=0))
 
 
 def test_criterion_8b_integrator_fourth_order():
@@ -65,4 +65,4 @@ def test_criterion_8b_integrator_fourth_order():
 
 
 def test_criterion_8c_projection_nonexpansive():
-    _check(verify.suite_projection(seed=0, n=100_000))
+    _check(verify.suite_projection(seed=0))

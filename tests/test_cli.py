@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import prnn_abc.plant as plant_module
 from oracles import save_scenario
 from prnn_abc.cli import main
 from prnn_abc.config import Scenario, Timing
@@ -129,6 +130,29 @@ def test_simulate_out_of_memory_before_the_loop_is_an_abort(tmp_path, capsys, mo
     assert json.loads((out / "summary.json").read_text())["abort_reason"] == reason
     assert f"run aborted: {reason}" in capsys.readouterr().err
     assert read_trace(out / "trace.csv") == []
+
+
+def test_simulate_out_of_memory_inside_the_loop_is_an_abort(tmp_path, capsys, monkeypatch,
+                                                            quick_config):
+    # a period of millions of sub-steps can exhaust memory in any period, not
+    # only while the disturbance is sampled
+    real_step, calls = plant_module.step, []
+
+    def exhausted_on_third_period(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise MemoryError
+        return real_step(*args)
+
+    monkeypatch.setattr(plant_module, "step", exhausted_on_third_period)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(quick_config), "--out", str(out)]) == 1
+    reason = "period of 10 plant sub-steps does not fit in memory at t=0.020000"
+    assert json.loads((out / "summary.json").read_text())["abort_reason"] == reason
+    assert f"run aborted: {reason}" in capsys.readouterr().err
+    # the rows logged before the failed step are kept, as for any other abort
+    assert [r.t for r in read_trace(out / "trace.csv")] == [0.0, 0.01, 0.02]
+    assert main(["validate", str(out / "trace.csv")]) == 0
 
 
 def test_validate_accepts_fresh_trace(tmp_path, quick_config):
