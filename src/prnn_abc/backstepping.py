@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .plant import PlantState
 
@@ -85,8 +86,9 @@ def reference_at(ref: ReferenceSignal, t: float) -> tuple[float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class ErrorCoords:
+class ErrorCoords(NamedTuple):
+    """Backstepping error coordinates of one state against one reference triple."""
+
     s1: float      # tracking error x1 - x1d (rad)
     s2: float      # velocity-level error x2 - dx1d - gamma1 (rad/s)
     gamma1: float  # first virtual control -c1*s1 (rad/s)
@@ -100,7 +102,7 @@ def error_coords(
     s1 = state.x1 - x1d
     gamma1 = -gains.c1 * s1
     s2 = state.x2 - dx1d - gamma1
-    return ErrorCoords(s1=s1, s2=s2, gamma1=gamma1)
+    return ErrorCoords(s1, s2, gamma1)
 
 
 def lyapunov_v2(e: ErrorCoords) -> float:

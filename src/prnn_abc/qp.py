@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backstepping import ErrorCoords, Gains, stabilizing_target
 
@@ -40,20 +41,29 @@ class Weights:
             )
 
 
-@dataclass(frozen=True)
-class QpCoefficients:
-    """Coefficients of 1/2*Q*u^2 + P*u over the box [u_min, u_max]."""
-
+class _QpFields(NamedTuple):
     P: float
     Q: float
     u_min: float
     u_max: float
 
-    def __post_init__(self):
-        if not self.Q > 0:
+
+class QpCoefficients(_QpFields):
+    """Coefficients of 1/2*Q*u^2 + P*u over the box [u_min, u_max]; immutable."""
+
+    __slots__ = ()
+
+    def __new__(cls, P: float, Q: float, u_min: float, u_max: float) -> QpCoefficients:
+        if not Q > 0:
             raise ValueError("Q > 0 required")
-        if not self.u_min < self.u_max:
+        if not u_min < u_max:
             raise ValueError("u_min < u_max required")
+        return tuple.__new__(cls, (P, Q, u_min, u_max))
+
+    @classmethod
+    def _make(cls, iterable) -> QpCoefficients:
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
 
 
 def assemble(
@@ -73,7 +83,7 @@ def assemble(
     """
     p = weights.T * b * stabilizing_target(a, ddx1d, e, gains)
     q = weights.T * b * b + weights.R
-    return QpCoefficients(P=p, Q=q, u_min=bounds[0], u_max=bounds[1])
+    return QpCoefficients(p, q, bounds[0], bounds[1])
 
 
 def cost(q: QpCoefficients, u: float) -> float:

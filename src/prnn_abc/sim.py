@@ -138,6 +138,10 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
     timing = sc.timing
     period = timing.control_period
     adaptive = sc.adaptive and not exact
+    # fixed for the run: read once here, not once per period
+    params, gains, weights, bounds = sc.params, sc.gains, sc.weights, sc.bounds
+    reference, prnn_cfg, plant_dt = sc.reference, sc.prnn, timing.plant_dt
+    r_weight, warmup_steps = weights.R, sc.rls.warmup_steps
     state = sc.initial
     phi = 0.0  # warm-started network state, carried across periods; 0 under the exact law
     records: list[TraceRecord] = []
@@ -152,7 +156,7 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
     # loop; one row per plant sub-step, 24 bytes each unless d is constant
     try:
         starts = np.arange(timing.control_steps) * period
-        stages = plant.stage_disturbance(sc.disturbance, starts, timing.plant_dt, timing.substeps)
+        stages = plant.stage_disturbance(sc.disturbance, starts, plant_dt, timing.substeps)
     except MemoryError:  # a valid duration too long to sample ahead aborts before its start
         aborted, stages, n = True, (), timing.control_steps * timing.substeps
         reason = f"disturbance of {n} plant sub-steps does not fit in memory at t=0.000000"
@@ -164,59 +168,60 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
             break
 
         try:
-            refs = reference_at(sc.reference, t)
-            e = error_coords(state, refs, sc.gains)
-            a = plant.drift_term(sc.params, state)
-            b = plant.gain_term(sc.params, state)
+            refs = reference_at(reference, t)
+            e = error_coords(state, refs, gains)
+            a = plant.drift_term(params, state)
+            b = plant.gain_term(params, state)
             if exact and abs(b) < 1e-9:
                 aborted, reason = True, f"input gain B ~ 0 at t={t:.6f}; exact feedback undefined"
                 break
 
-            if adaptive and prev is not None:
-                sample = rls.sample(*prev, state, period, sc.params.g, sc.rls.excitation_gate)
-                if sample is not None:
-                    rls_state = rls.update(rls_state, *sample)
-
-            if adaptive and k >= sc.rls.warmup_steps:
-                try:
-                    model = rls.extract_physical(rls_state.theta_hat, sc.params.g)
-                except rls.NotYetIdentifiableError:
-                    pass  # keep the last model
-                else:
-                    if model is None:
-                        nonphysical = True
-                        # static message, so repeated fallbacks deduplicate to one warning
-                        warnings.warn(
-                            "nonphysical parameter estimate; falling back to nominal parameters"
-                        )
+            if adaptive:
+                if prev is not None:
+                    sample = rls.sample(*prev, state, period, params.g, sc.rls.excitation_gate)
+                    if sample is not None:
+                        rls_state = rls.update(rls_state, *sample)
+                if k >= warmup_steps:
+                    try:
+                        model = rls.extract_physical(rls_state.theta_hat, params.g)
+                    except rls.NotYetIdentifiableError:
+                        pass  # keep the last model
+                    else:
+                        if model is None:
+                            nonphysical = True
+                            # static message: repeated fallbacks deduplicate to one warning
+                            warnings.warn(
+                                "nonphysical parameter estimate; "
+                                "falling back to nominal parameters"
+                            )
             if model is not None:
                 coeffs = rls.adaptive_coefficients(
-                    model, state, e, refs[2], sc.gains, sc.weights, sc.bounds
+                    model, state, e, refs[2], gains, weights, bounds
                 )
             else:  # not adaptive, warming up, or the estimate is not physical
-                coeffs = qp.assemble(a, b, e, refs[2], sc.gains, sc.weights, sc.bounds)
+                coeffs = qp.assemble(a, b, e, refs[2], gains, weights, bounds)
 
             if exact:
-                u = exact_feedback(a, b, refs[2], e, sc.gains)
+                u = exact_feedback(a, b, refs[2], e, gains)
                 residual = 0.0
             else:
-                relaxed = prnn.relax(phi, coeffs, sc.prnn, period)
+                relaxed = prnn.relax(phi, coeffs, prnn_cfg, period)
                 phi = relaxed.phi
                 # final safety clamp: the actuator constraint holds even mid-transient
-                u = prnn.project(relaxed.u, sc.bounds)
+                u = prnn.project(relaxed.u, bounds)
                 residual = relaxed.residual
 
             theta = rls_state.theta_hat.tolist() if adaptive else _NO_THETA
             records.append(
                 TraceRecord(
                     t, state.x1, state.x2, refs[0], e.s1, e.s2, u, phi, a, b,
-                    coeffs.P, coeffs.Q, lyapunov_v2(e), ideal_v2_dot(e, sc.gains), residual,
-                    *theta, sc.weights.R / coeffs.Q,
+                    coeffs.P, coeffs.Q, lyapunov_v2(e), ideal_v2_dot(e, gains), residual,
+                    *theta, r_weight / coeffs.Q,
                 )
             )
 
             prev = (state, u)
-            state = plant.step(sc.params, state, u, t, timing.plant_dt, rows.tolist())
+            state = plant.step(params, state, u, t, plant_dt, rows.tolist())
         except IntegrationBlowupError as err:
             aborted, reason = True, str(err)
             break

@@ -3,8 +3,9 @@
 Each suite checks one family of claims about the controller against an
 independent oracle: the closed-form clamp solution for the network, central
 finite differences for the QP gradient, a direct batch solve for the
-recursive estimator, step-halving for the integrator order, and logged-trace
-Lyapunov monitors for the closed loop.  The CLI `verify` command and the
+recursive estimator, step-halving and a 30-digit solution of the plant ODE
+(`RK4_EXACT_ENDPOINT`) for the integrator, and logged-trace Lyapunov
+monitors for the closed loop.  The CLI `verify` command and the
 acceptance test module both run these functions, so there is one source of
 truth for pass/fail.
 """
@@ -29,6 +30,10 @@ from .sim import lyapunov_monitor
 ORACLE_QPS = 1000  # random QPs in prnn-oracle
 GRADIENT_POINTS = 1000  # random points in gradient
 PROJECTION_PAIRS = 100_000  # random pairs in projection
+# x(0.5 s) of the plant from (0.1 rad, 0) with no force and no disturbance,
+# under the default PendulumParams: mpmath.odefun at 30 digits, rounded to
+# the nearest doubles; tests/test_acceptance.py recomputes it
+RK4_EXACT_ENDPOINT = (0.3687747266278067, 1.3946608955106017)
 
 
 @dataclass
@@ -360,15 +365,14 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
 
 
 def suite_rk4_order(seed: int = 0) -> SuiteResult:
-    """Endpoint error of the plant integrator shrinks 16x per step halving."""
+    """Endpoint error of the plant integrator shrinks 16x per step halving,
+    and the finest run lands within 1e-10 of the exact solution."""
     del seed
     params = PendulumParams()
-    # every step reads the same no-disturbance row: the reference run takes
-    # 1e5 steps, and a list of 1e5 fresh rows raised peak memory by about 11 MB
-    row = plant.stage_disturbance(DisturbanceSpec(), 0.0, 1.0, 1).tolist()
 
     def endpoint(dt: float) -> tuple[float, float]:
-        state = plant.step(params, PlantState(0.1, 0.0), 0.0, 0.0, dt, row * round(0.5 / dt))
+        rows = plant.stage_disturbance(DisturbanceSpec(), 0.0, dt, round(0.5 / dt)).tolist()
+        state = plant.step(params, PlantState(0.1, 0.0), 0.0, 0.0, dt, rows)
         return state.x1, state.x2
 
     dts = (0.004, 0.002, 0.001, 0.0005)
@@ -378,8 +382,8 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
     ]
     ratios = [g1 / g2 for g1, g2 in zip(gaps, gaps[1:])]
     ratios_ok = all(12.0 < r < 20.0 for r in ratios)
-    ref = endpoint(dts[-1] / 100.0)
-    ref_gap = math.hypot(ends[-1][0] - ref[0], ends[-1][1] - ref[1])
+    exact = RK4_EXACT_ENDPOINT
+    ref_gap = math.hypot(ends[-1][0] - exact[0], ends[-1][1] - exact[1])
     passed = ratios_ok and ref_gap < 1e-10
     return SuiteResult(
         name="rk4-order",
@@ -387,7 +391,7 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
         details={"halving_ratio_min": min(ratios), "reference_gap": ref_gap},
         lines=[
             "error-halving ratios: " + ", ".join(f"{r:.2f}" for r in ratios) + " (expect ~16)",
-            f"gap to dt/100 reference = {ref_gap:.3e}",
+            f"gap to exact solution = {ref_gap:.3e}",
         ],
     )
 

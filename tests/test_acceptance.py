@@ -3,10 +3,17 @@
 Each test prints one PASS/FAIL line (visible with `pytest -s` or in the
 `prnn-abc verify` output, which runs the same suites) and asserts the
 criterion.  Tolerances are pinned here and in prnn_abc.verify; nothing is
-deferred to later calibration.
+deferred to later calibration.  The tests after the criteria pin the
+exact solution that criterion 8b measures the integrator against.
 """
 
-from prnn_abc import verify
+import math
+from dataclasses import replace
+
+import pytest
+
+from prnn_abc import plant, verify
+from prnn_abc.plant import PendulumParams, PlantState
 
 
 def _check(result):
@@ -61,8 +68,54 @@ def test_criterion_8a_gradient_matches_finite_differences():
 
 
 def test_criterion_8b_integrator_fourth_order():
+    # endpoint gaps over dt in {4, 2, 1, 0.5} ms shrink 12-20x per halving;
+    # the finest endpoint lies within 1e-10 of the exact solution
     _check(verify.suite_rk4_order())
 
 
 def test_criterion_8c_projection_nonexpansive():
     _check(verify.suite_projection(seed=0))
+
+
+def test_rk4_exact_endpoint_matches_a_30_digit_solution():
+    mpmath = pytest.importorskip("mpmath")
+    p = PendulumParams()
+    with mpmath.workdps(30):
+        # the doubles the plant integrates with, taken exactly
+        g, m_c, m, l, x10, t_end = map(mpmath.mpf, (p.g, p.m_c, p.m, p.l, 0.1, 0.5))
+        m_sum = m_c + m
+
+        def rhs(t, x):
+            s, c = mpmath.sin(x[0]), mpmath.cos(x[0])
+            den = l * (mpmath.mpf(4) / 3 - m * c**2 / m_sum)
+            return [x[1], (g * s - m * l * x[1] ** 2 * c * s / m_sum) / den]
+
+        end = [float(v) for v in mpmath.odefun(rhs, 0, [x10, mpmath.mpf(0)])(t_end)]
+    for got, want in zip(end, verify.RK4_EXACT_ENDPOINT):
+        assert abs(got - want) <= math.ulp(want)
+
+
+def test_fine_rk4_run_lands_on_the_exact_endpoint():
+    # 100,000 RK4 steps at dt = 5e-6 have no truncation error left at this
+    # scale, so plant.step and the 30-digit constant must agree to roundoff
+    dt = 5e-6
+    rows = [[0.0, 0.0, 0.0]] * 100_000
+    end = plant.step(PendulumParams(), PlantState(0.1, 0.0), 0.0, 0.0, dt, rows)
+    x1, x2 = verify.RK4_EXACT_ENDPOINT
+    assert abs(end.x1 - x1) < 1e-13
+    assert abs(end.x2 - x2) < 1e-13
+
+
+def test_rk4_order_fails_when_the_plant_integrates_another_ode(monkeypatch):
+    # a gravity 1e-6 too large keeps the step-halving ratios near 16, and only
+    # the exact endpoint tells the two ODEs apart
+    step = plant.step
+
+    def step_with_wrong_gravity(params, *args):
+        return step(replace(params, g=params.g * (1.0 + 1e-6)), *args)
+
+    monkeypatch.setattr(plant, "step", step_with_wrong_gravity)
+    result = verify.suite_rk4_order()
+    assert result.details["halving_ratio_min"] > 12.0
+    assert result.details["reference_gap"] > 1e-6
+    assert not result.passed

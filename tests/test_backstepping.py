@@ -139,6 +139,16 @@ def test_error_coords_linear_in_state():
         assert np.allclose(coords(x1, x2), expect, rtol=0, atol=1e-12)
 
 
+def test_error_coords_are_immutable_values():
+    e = error_coords(PlantState(0.3, -0.2), (0.1, 0.05, 0.0), Gains(c1=2.0, c2=1.0))
+    s1 = 0.3 - 0.1
+    assert e == ErrorCoords(s1=s1, s2=-0.2 - 0.05 + 2.0 * s1, gamma1=-2.0 * s1)
+    for name in ("s1", "s2", "gamma1"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, 0.0)
+    assert (e.s1, e.s2, e.gamma1) == tuple(e)
+
+
 def test_lyapunov_values():
     assert lyapunov_v2(ErrorCoords(0.0, 0.0, 0.0)) == 0.0
     assert lyapunov_v2(ErrorCoords(1.0, 1.0, 0.0)) == 1.0

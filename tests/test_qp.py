@@ -33,10 +33,29 @@ def test_weights_validation():
 
 
 def test_coefficients_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Q > 0 required$"):
         QpCoefficients(P=0.0, Q=0.0, u_min=-1.0, u_max=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^u_min < u_max required$"):
         QpCoefficients(P=0.0, Q=1.0, u_min=1.0, u_max=1.0)
+    with pytest.raises(ValueError, match=r"^Q > 0 required$"):
+        QpCoefficients(1.0, float("nan"), -1.0, 1.0)
+
+
+def test_coefficients_are_immutable_values():
+    q = QpCoefficients(P=1.5, Q=2.0, u_min=-1.0, u_max=3.0)
+    assert (q.P, q.Q, q.u_min, q.u_max) == (1.5, 2.0, -1.0, 3.0)
+    assert q == QpCoefficients(1.5, 2.0, -1.0, 3.0)
+    for name in ("P", "Q", "u_min", "u_max"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 0.5)
+    with pytest.raises(AttributeError):
+        q.extra = 0.0
+    assert q == QpCoefficients(1.5, 2.0, -1.0, 3.0)
+    assert q._replace(P=-1.0) == QpCoefficients(-1.0, 2.0, -1.0, 3.0)
+    with pytest.raises(ValueError, match=r"^Q > 0 required$"):
+        q._replace(Q=0.0)
+    with pytest.raises(ValueError, match=r"^u_min < u_max required$"):
+        q._replace(u_min=3.0)
 
 
 def test_assemble_at_upright_rest():
