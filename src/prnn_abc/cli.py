@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -201,6 +202,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args keeps no state in the parser, so in-process callers share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prnn-abc",

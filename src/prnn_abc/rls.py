@@ -9,12 +9,16 @@ Rewriting the acceleration as a model linear in the unknowns gives
 which the forgetting-free RLS recursion estimates sample by sample.  The
 physical quantities are recovered by inverting the theta definition, and the
 adaptive controller rebuilds its QP coefficients from those estimates.
+
+Pi, theta_hat and M are tuples of Python floats, and every sum is written out
+in a fixed order: a 3-vector costs no numpy call, and an estimate comes out
+bit for bit the same whichever BLAS kernel numpy picks for the CPU.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +27,9 @@ from .plant import PendulumParams, PlantState, drift_term, gain_term
 from .qp import QpCoefficients, Weights, assemble
 
 IDENTIFIABILITY_EPS = 1e-6
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
+
+Vector3 = tuple[float, float, float]
+Matrix3 = tuple[Vector3, Vector3, Vector3]  # rows
 
 
 class NotYetIdentifiableError(RuntimeError):
@@ -37,12 +42,11 @@ def true_theta(params: PendulumParams) -> np.ndarray:
     return np.array([params.m / m_sum, 1.0 / params.l, 1.0 / (params.l * m_sum)])
 
 
-@dataclass(frozen=True, eq=False)
-class RlsState:
+class RlsState(NamedTuple):
     """Estimate vector, covariance-like matrix, and sample counter."""
 
-    theta_hat: np.ndarray  # (3,)
-    M: np.ndarray          # (3,3), symmetric positive definite
+    theta_hat: Vector3
+    M: Matrix3  # symmetric positive definite, M[i][j] == M[j][i] exactly
     k: int = 0
 
 
@@ -52,24 +56,23 @@ def initial_state(theta0, m0_scale: float = 100.0) -> RlsState:
         raise ValueError("theta0 must be a 3-vector")
     if not m0_scale > 0:
         raise ValueError("m0_scale > 0 required")
-    return RlsState(theta_hat=theta0.copy(), M=m0_scale * np.eye(3), k=0)
+    s = float(m0_scale)
+    return RlsState(tuple(theta0.tolist()), ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s)))
 
 
-def regressor(state: PlantState, x2dot: float, u: float, g: float) -> np.ndarray:
+def regressor(state: PlantState, x2dot: float, u: float, g: float) -> Vector3:
     """Regressor Pi such that x2dot = Pi . theta holds for the true theta."""
     c, s = math.cos(state.x1), math.sin(state.x1)
-    return np.array(
-        [
-            0.75 * (x2dot * c * c - state.x2**2 * c * s),
-            0.75 * g * s,
-            0.75 * c * u,
-        ]
+    return (
+        0.75 * (x2dot * c * c - state.x2**2 * c * s),
+        0.75 * g * s,
+        0.75 * c * u,
     )
 
 
 def sample(
     prev: PlantState, prev_u: float, state: PlantState, period: float, g: float, gate: float
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[Vector3, float] | None:
     """(Pi, y) of the period from `prev` under force `prev_u` to `state`; None if |Pi| < gate.
 
     y is the backward-difference x2dot; it approximates the mid-interval
@@ -78,32 +81,49 @@ def sample(
     x2dot = (state.x2 - prev.x2) / period
     mid = PlantState(0.5 * (state.x1 + prev.x1), 0.5 * (state.x2 + prev.x2))
     pi = regressor(mid, x2dot, prev_u, g)
-    if math.sqrt(float(pi @ pi)) < gate:  # np.linalg.norm of a real vector, bit for bit
+    if math.hypot(*pi) < gate:
         return None
     return pi, x2dot
 
 
-def update(s: RlsState, pi: np.ndarray, y: float) -> RlsState:
+def update(s: RlsState, pi: Vector3, y: float) -> RlsState:
     """One RLS step: gain G = M*Pi / (1 + Pi'*M*Pi), theta += G*e, M -= G*Pi'*M.
 
-    The innovation e = y - Pi.theta_hat is computed before the estimate moves;
-    the covariance update is symmetrized to keep M numerically SPD.
+    M is symmetric (only its upper triangle is read), so Pi'*M = (M*Pi)' and
+    the one product v = M*Pi gives the denominator, the gain and the rank-one
+    correction M - G*v'.  The innovation e = y - Pi.theta_hat is computed
+    before the estimate moves; the (i, j) and (j, i) corrections are
+    averaged, so M stays exactly symmetric.  Plain float arithmetic in a
+    fixed order: the result does not depend on the BLAS kernel.
     """
-    pi = np.asarray(pi, dtype=float)
-    denom = 1.0 + float(pi @ s.M @ pi)
+    p0, p1, p2 = pi
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = s.M
+    v0 = m00 * p0 + m01 * p1 + m02 * p2
+    v1 = m01 * p0 + m11 * p1 + m12 * p2
+    v2 = m02 * p0 + m12 * p1 + m22 * p2
+    denom = 1.0 + (p0 * v0 + p1 * v1 + p2 * v2)
     if not denom > 0.0:
         raise FloatingPointError(
             f"1 + Pi'M Pi = {denom!r} is not positive; covariance M has lost positive definiteness"
         )
-    gain = (s.M @ pi) / denom
-    err = y - float(pi @ s.theta_hat)
-    theta = s.theta_hat + gain * err
-    m_next = (_EYE3 - gain[:, None] * pi) @ s.M
-    m_next = 0.5 * (m_next + m_next.T)
-    return RlsState(theta_hat=theta, M=m_next, k=s.k + 1)
+    g0, g1, g2 = v0 / denom, v1 / denom, v2 / denom
+    t0, t1, t2 = s.theta_hat
+    err = y - (p0 * t0 + p1 * t1 + p2 * t2)
+    n01 = m01 - 0.5 * (g0 * v1 + g1 * v0)
+    n02 = m02 - 0.5 * (g0 * v2 + g2 * v0)
+    n12 = m12 - 0.5 * (g1 * v2 + g2 * v1)
+    return RlsState(
+        (t0 + g0 * err, t1 + g1 * err, t2 + g2 * err),
+        (
+            (m00 - g0 * v0, n01, n02),
+            (n01, m11 - g1 * v1, n12),
+            (n02, n12, m22 - g2 * v2),
+        ),
+        s.k + 1,
+    )
 
 
-def extract_physical(theta_hat: np.ndarray, g: float) -> PendulumParams | None:
+def extract_physical(theta_hat: Vector3, g: float) -> PendulumParams | None:
     """Invert the theta definition: l = 1/theta2, m_c+m = theta2/theta3, m = theta1*(m_c+m).
 
     Returns None when the estimates describe no realizable pendulum.  Raises

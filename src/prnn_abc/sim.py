@@ -211,7 +211,7 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
                 u = prnn.project(relaxed.u, bounds)
                 residual = relaxed.residual
 
-            theta = rls_state.theta_hat.tolist() if adaptive else _NO_THETA
+            theta = rls_state.theta_hat if adaptive else _NO_THETA
             records.append(
                 TraceRecord(
                     t, state.x1, state.x2, refs[0], e.s1, e.s2, u, phi, a, b,
@@ -260,7 +260,7 @@ def _summarize(
     aborted: bool,
     reason: str,
     nonphysical: bool,
-    theta_final: np.ndarray | None,
+    theta_final: rls.Vector3 | None,
 ) -> RunSummary:
     if not records:
         return RunSummary(
@@ -287,8 +287,9 @@ def _summarize(
     on_bound = (u <= lo + 1e-12 * (1.0 + abs(lo))) | (u >= hi - 1e-12 * (1.0 + abs(hi)))
 
     if theta_final is not None:
-        truth = rls.true_theta(scenario.params)
-        theta_err = float(np.linalg.norm(theta_final - truth) / np.linalg.norm(truth))
+        truth = rls.true_theta(scenario.params).tolist()
+        # math.hypot, not np.linalg.norm: no BLAS call, so no kernel-dependent bits
+        theta_err = math.hypot(*(a - b for a, b in zip(theta_final, truth))) / math.hypot(*truth)
     else:
         theta_err = math.nan
 

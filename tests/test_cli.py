@@ -9,8 +9,8 @@ import pytest
 
 import prnn_abc.plant as plant_module
 from oracles import save_scenario
-from prnn_abc.cli import main
-from prnn_abc.config import Scenario, Timing
+from prnn_abc.cli import build_parser, main
+from prnn_abc.config import Scenario, Timing, load_scenario
 from prnn_abc.plant import PlantState
 from prnn_abc.sim import default_scenario
 from prnn_abc.traceio import TRACE_COLUMNS, read_trace
@@ -378,12 +378,14 @@ def test_simulate_infinite_metric_is_json_null(tmp_path):
 
 
 def test_simulate_covariance_loss_is_an_abort(tmp_path, capsys):
-    # a huge initial covariance loses positive definiteness in the first updates
+    # a huge initial covariance loses positive definiteness in the first updates:
+    # here 1 + Pi'M Pi = -2.5e12 at t=0.04, and 2,400 tried m0_scale values in
+    # [1e26, 1e30) over seeds 0-9 all abort the same way by t=0.10
     path = tmp_path / "m0.yaml"
     path.write_text(
         "initial: {x1: 0.0, x2: 0.0}\n"
         "reference: {kind: sinusoid, amplitude: 0.5, frequency: 0.5}\n"
-        "timing: {duration: 1.0}\nadaptive: true\nrls: {m0_scale: 1.0e+12}\n",
+        "timing: {duration: 1.0}\nadaptive: true\nrls: {m0_scale: 1.0e+27}\n",
         encoding="utf-8",
     )
     out = tmp_path / "out"
@@ -392,6 +394,29 @@ def test_simulate_covariance_loss_is_an_abort(tmp_path, capsys):
     assert summary["aborted"] is True
     assert "covariance M has lost positive definiteness at t=" in summary["abort_reason"]
     assert "run aborted:" in capsys.readouterr().err
+
+
+def test_successive_main_calls_keep_no_parsed_state(tmp_path, quick_config, capsys):
+    assert build_parser() is build_parser()  # built once per process
+    # --grid appends to a list: a later sweep must not see an earlier one's axes
+    first = _sweep_rows(tmp_path / "a", quick_config, "vartheta=25,50", "c1=2")
+    second = _sweep_rows(tmp_path / "b", quick_config, "c2=3")
+    assert [list(row)[:2] for row in first] == [["vartheta", "c1"]] * 2
+    assert [list(row)[0] for row in second] == ["c2"]
+    assert not {"vartheta", "c1"} & set(second[0])
+    # the options of one simulate call do not carry over to the next
+    on, plain = tmp_path / "on", tmp_path / "plain"
+    assert main(["simulate", "--config", str(quick_config), "--out", str(on),
+                 "--adaptive", "on", "--seed", "5", "--gnuplot"]) == 0
+    assert main(["verify", "--suite", "projection", "--seed", "3"]) == 0
+    assert main(["simulate", "--config", str(quick_config), "--out", str(plain)]) == 0
+    assert main(["validate", str(plain / "trace.csv")]) == 0
+    assert load_scenario(on / "scenario.yaml").seed == 5
+    assert load_scenario(plain / "scenario.yaml") == load_scenario(quick_config)
+    assert (on / "plot.gp").exists() and not (plain / "plot.gp").exists()
+    last = read_trace(plain / "trace.csv")[-1]
+    assert last.theta1 != last.theta1  # nan: not adaptive
+    assert "projection" in capsys.readouterr().out
 
 
 def test_sweep_non_integral_seed_is_cell_error(tmp_path, quick_config):

@@ -9,16 +9,24 @@ After an intended change, or to pin a run added to the file by hand, rewrite
 the digests and log the rewrite with its reason in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
+
+The digests do not depend on the BLAS kernel: no logged value goes through a
+BLAS call, and a test recomputes the adaptive runs under another OpenBLAS
+kernel.  `--digests NAME...` prints the fresh digests of the named runs.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -28,6 +36,7 @@ from prnn_abc.config import parse_scenario, scenario_to_dict
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RUNS = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"]
+ADAPTIVE_RUNS = [name for name, entry in RUNS.items() if entry.get("scenario", {}).get("adaptive")]
 
 
 def digests(scenario: dict | None, workdir: Path) -> dict[str, str]:
@@ -47,11 +56,45 @@ def digests(scenario: dict | None, workdir: Path) -> dict[str, str]:
     return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items()}
 
 
+def fresh_digests(scenario: dict | None) -> dict[str, str]:
+    """`digests` of a run made in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return digests(scenario, Path(tmp))
+
+
 @pytest.mark.filterwarnings("ignore:nonphysical parameter estimate")
 @pytest.mark.parametrize("name", list(RUNS))
 def test_run_writes_golden_bytes(name, tmp_path):
     pinned = dict(RUNS[name])
     assert digests(pinned.pop("scenario", None), tmp_path) == pinned
+
+
+def _openblas_on_x86() -> bool:
+    """numpy links OpenBLAS on x86-64, where OPENBLAS_CORETYPE picks the kernel."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _openblas_on_x86(), reason="needs numpy on OpenBLAS on x86-64")
+def test_adaptive_digests_do_not_depend_on_the_blas_kernel():
+    # an SSE-only kernel without FMA: its dot products round unlike the AVX kernels'
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, __file__, "--digests", *ADAPTIVE_RUNS],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    pinned = {name: dict(RUNS[name]) for name in ADAPTIVE_RUNS}
+    for entry in pinned.values():
+        del entry["scenario"]
+    assert json.loads(done.stdout) == pinned
 
 
 def rewrite() -> None:
@@ -64,8 +107,7 @@ def rewrite() -> None:
         pinned = {}
         if "scenario" in entry:
             pinned["scenario"] = scenario_to_dict(parse_scenario(entry["scenario"]))
-        with tempfile.TemporaryDirectory() as tmp:
-            fresh = digests(pinned.get("scenario"), Path(tmp))
+        fresh = fresh_digests(pinned.get("scenario"))
         if any(entry.get(key) != digest for key, digest in fresh.items()):
             changed.append(name)
         pinned.update(fresh)
@@ -78,6 +120,10 @@ def rewrite() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--rewrite"]:
-        sys.exit(f"usage: {sys.argv[0]} --rewrite")
-    rewrite()
+    if sys.argv[1:] == ["--rewrite"]:
+        rewrite()
+    elif sys.argv[1:2] == ["--digests"] and set(sys.argv[2:]) <= set(RUNS):
+        names = sys.argv[2:]
+        print(json.dumps({name: fresh_digests(RUNS[name].get("scenario")) for name in names}))
+    else:
+        sys.exit(f"usage: {sys.argv[0]} --rewrite | --digests NAME...")

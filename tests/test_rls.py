@@ -1,5 +1,6 @@
 """Recursive least-squares estimator and adaptive coefficient assembly."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_regressor_identity_against_plant():
         u = rng.uniform(-30, 30)
         _, x2dot = derivatives(PARAMS, state, u)
         pi = regressor(state, x2dot, u, PARAMS.g)
-        assert float(pi @ THETA_TRUE) == pytest.approx(x2dot, rel=1e-10, abs=1e-10)
+        assert float(np.asarray(pi) @ THETA_TRUE) == pytest.approx(x2dot, rel=1e-10, abs=1e-10)
 
 
 def test_sample_is_backward_difference_at_mid_interval():
@@ -68,7 +69,7 @@ def test_sample_below_excitation_gate_is_none():
     assert np.array_equal(pi, np.zeros(3)) and y == 0.0
     # a sample is kept when |Pi| reaches the gate, dropped just below it
     state = PlantState(0.0, 0.01)
-    norm = float(np.linalg.norm(sample(rest, 1.0, state, 0.01, PARAMS.g, 0.0)[0]))
+    norm = math.hypot(*sample(rest, 1.0, state, 0.01, PARAMS.g, 0.0)[0])
     assert sample(rest, 1.0, state, 0.01, PARAMS.g, norm) is not None
     assert sample(rest, 1.0, state, 0.01, PARAMS.g, np.nextafter(norm, np.inf)) is None
 
@@ -118,18 +119,64 @@ def test_update_zero_regressor_is_identity():
     assert s2.k == 1
 
 
+def test_update_pinned_bits():
+    # a full symmetric M, so every product and both halves of each average enter
+    s = RlsState(
+        theta_hat=(-0.30964842919189284, 1.2232880500730148, 0.33741842646929765),
+        M=(
+            (93.24572336625452, -11.157615617334901, -22.466222809216383),
+            (-11.157615617334901, 81.56836134868813, -37.11270533786734),
+            (-22.466222809216383, -37.11270533786734, 25.272357843379595),
+        ),
+        k=1,
+    )
+    pi = (-0.4720868372925112, -0.733775612354187, -2.2387593718755583)
+    s2 = update(s, pi, -1.1)
+    assert s2.theta_hat == (0.07712779806111347, 1.9854421738044463, -0.16372401158137417)
+    assert s2.M == (
+        (79.49532330945277, -38.25319018426147, -4.649954582032663),
+        (-38.25319018426147, 28.17572127428432, -2.0052159368423403),
+        (-4.649954582032663, -2.0052159368423403, 2.1879812265740384),
+    )
+    assert s2.k == 2
+    assert all(type(v) is float for v in (*s2.theta_hat, *s2.M[0], *s2.M[1], *s2.M[2]))
+
+
+def test_update_matches_matrix_form_on_random_spd():
+    rng = np.random.default_rng(37)
+    for _ in range(1000):
+        a = rng.standard_normal((3, 3))
+        m = a @ a.T + rng.uniform(0.01, 10.0) * np.eye(3)
+        m = 0.5 * (m + m.T)
+        theta, pi = rng.standard_normal(3), rng.standard_normal(3) * rng.uniform(0.01, 10.0)
+        y = float(rng.standard_normal())
+        # the textbook matrix form: G = M Pi / (1 + Pi'M Pi), M -= G Pi'M, symmetrized
+        gain = m @ pi / (1.0 + pi @ m @ pi)
+        theta_ref = theta + gain * (y - pi @ theta)
+        m_ref = (np.eye(3) - np.outer(gain, pi)) @ m
+        m_ref = 0.5 * (m_ref + m_ref.T)
+        state = RlsState(tuple(theta.tolist()), tuple(map(tuple, m.tolist())))
+        s = update(state, tuple(pi.tolist()), y)
+        got_theta, got_m = np.asarray(s.theta_hat), np.asarray(s.M)
+        assert np.array_equal(got_m, got_m.T)
+        assert np.linalg.norm(got_theta - theta_ref) <= 1e-12 * np.linalg.norm(theta_ref)
+        assert np.linalg.norm(got_m - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
+
+
 def test_update_rejects_non_spd_covariance():
     # -10*I makes 1 + Pi'M Pi = -9 for a unit regressor; the check must
     # survive `python -O`, so it is an exception rather than an assert
-    s = RlsState(theta_hat=np.zeros(3), M=-10.0 * np.eye(3))
+    minus_ten = ((-10.0, 0.0, 0.0), (0.0, -10.0, 0.0), (0.0, 0.0, -10.0))
+    s = RlsState(theta_hat=(0.0, 0.0, 0.0), M=minus_ten)
     with pytest.raises(FloatingPointError, match="positive"):
-        update(s, np.array([1.0, 0.0, 0.0]), 0.0)
+        update(s, (1.0, 0.0, 0.0), 0.0)
 
 
 def test_update_consistent_sample_keeps_estimate():
     s = initial_state(THETA_TRUE)
     pi = regressor(PlantState(0.2, 0.5), 1.3, 2.0, PARAMS.g)
-    y = float(pi @ THETA_TRUE)  # exact model output: innovation is zero
+    # exact model output, summed in update's order: the innovation is zero
+    y = pi[0] * s.theta_hat[0] + pi[1] * s.theta_hat[1] + pi[2] * s.theta_hat[2]
     s2 = update(s, pi, y)
     assert np.array_equal(s2.theta_hat, s.theta_hat)
 
@@ -146,8 +193,8 @@ def test_convergence_on_exciting_samples():
     for pi, y in zip(pis, ys):
         s = update(s, pi, y)
         loose = update(loose, pi, y)
-    assert np.linalg.norm(s.theta_hat - THETA_TRUE) < 1e-3
-    assert np.linalg.norm(loose.theta_hat - THETA_TRUE) < 1e-8
+    assert np.linalg.norm(np.asarray(s.theta_hat) - THETA_TRUE) < 1e-3
+    assert np.linalg.norm(np.asarray(loose.theta_hat) - THETA_TRUE) < 1e-8
 
 
 def test_recursive_matches_batch_solve():
@@ -157,7 +204,7 @@ def test_recursive_matches_batch_solve():
     for pi, y in zip(pis, ys):
         s = update(s, pi, y)
     batch = batch_least_squares(pis, ys, theta0, m0_scale=100.0)
-    assert np.linalg.norm(s.theta_hat - batch) < 1e-6
+    assert np.linalg.norm(np.asarray(s.theta_hat) - batch) < 1e-6
 
 
 def test_covariance_stays_spd_and_trace_shrinks():
@@ -166,13 +213,14 @@ def test_covariance_stays_spd_and_trace_shrinks():
     prev_trace = float(np.trace(s.M))
     for pi, y in zip(pis, ys):
         s = update(s, pi, y)
-        assert np.array_equal(s.M, s.M.T)
-        tr = float(np.trace(s.M))
+        m = np.asarray(s.M)
+        assert np.array_equal(m, m.T)
+        tr = float(np.trace(m))
         assert tr <= prev_trace + 1e-12
         prev_trace = tr
-    assert np.linalg.eigvalsh(s.M).min() > 0.0
+    assert np.linalg.eigvalsh(np.asarray(s.M)).min() > 0.0
     assert np.all(np.isfinite(s.theta_hat))
-    assert np.linalg.norm(s.theta_hat - THETA_TRUE) < 1.0  # bounded under noise
+    assert np.linalg.norm(np.asarray(s.theta_hat) - THETA_TRUE) < 1.0  # bounded under noise
 
 
 def test_innovation_mean_square_nonincreasing():
@@ -180,7 +228,7 @@ def test_innovation_mean_square_nonincreasing():
     s = initial_state(THETA_TRUE * 1.3)
     sq = []
     for pi, y in zip(pis, ys):
-        sq.append((y - float(pi @ s.theta_hat)) ** 2)
+        sq.append((y - float(np.asarray(pi) @ np.asarray(s.theta_hat))) ** 2)
         s = update(s, pi, y)
     mean_sq = np.cumsum(sq) / np.arange(1, len(sq) + 1)
     assert np.all(np.diff(mean_sq) <= 1e-12)
