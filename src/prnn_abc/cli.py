@@ -113,7 +113,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     scenario = None if args.scenario is None else load_scenario(args.scenario)
-    names = [args.suite] if args.suite else None
+    names = None if args.suite is None else [args.suite]
     try:
         results = verify.run_suites(names, seed=args.seed, scenario=scenario)
     except ValueError as err:
@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         action="append",
         required=True,
-        help='grid axis as "name=v1,v2,..."; repeat for a product grid',
+        help='grid axis as "path=v1,v2,...": a scenario key path such as gains.c1, '
+        'or bound for a symmetric actuator box; repeat for a product grid',
     )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override the scenario seed")

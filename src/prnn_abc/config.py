@@ -15,6 +15,7 @@ either way, so the parsed tree and the dumped text do not depend on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -257,40 +258,29 @@ def parse_scenario(data: dict) -> Scenario:
         raise ConfigError(str(err)) from err
 
 
-# sweep axis name -> scenario file key path; `bound` sets -|v| <= u <= |v| at once
-GRID_KEYS = {
-    "c1": "gains.c1",
-    "c2": "gains.c2",
-    "T": "weights.T",
-    "R": "weights.R",
-    "vartheta": "prnn.vartheta",
-    "u_min": "bounds.u_min",
-    "u_max": "bounds.u_max",
-    "duration": "timing.duration",
-    "seed": "seed",
-}
-
-
 def apply_grid_point(base: Scenario, coords: dict[str, float]) -> Scenario:
     """`base` with the axes of one sweep cell applied together, so their order does not matter.
 
-    The cell becomes a partial scenario tree through the `GRID_KEYS` paths, built like a file's.
+    Each axis name is a scenario file key path such as `gains.c1` or `seed`, and the
+    cell becomes a partial scenario tree built like a file's, so a path that no file
+    could set fails with the file's message.  `bound` sets -|v| <= u <= |v| at once.
     """
-    clash = [key for key in ("u_min", "u_max") if key in coords and "bound" in coords]
-    if clash:  # in either order, one of the two axes would silently override the other
-        raise ValueError(f"sweep parameters 'bound' and {clash[0]!r} both set bounds.{clash[0]}")
+    paths = {name: "bounds" if name == "bound" else name for name in coords}
+    for a, b in itertools.combinations(sorted(paths), 2):
+        outer, inner = sorted((paths[a], paths[b]), key=len)
+        if f"{inner}.".startswith(f"{outer}."):
+            # in either order, one of the two axes would silently override the other
+            raise ValueError(f"sweep parameters {a!r} and {b!r} both set {inner}")
     tree: dict = {}
     for name, value in coords.items():
         if name == "bound":
             v = abs(checked_value("bounds.u_max", value, 0.0))
-            tree["bounds"] = {"u_min": -v, "u_max": v}
-        elif name in GRID_KEYS:
-            section, _, key = GRID_KEYS[name].rpartition(".")
-            (tree.setdefault(section, {}) if section else tree)[key] = value
-        else:
-            raise ValueError(
-                f"unknown sweep parameter {name!r}; supported: {sorted([*GRID_KEYS, 'bound'])}"
-            )
+            name, value = "bounds", {"u_min": -v, "u_max": v}
+        *sections, key = name.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
     return _build(tree, base)
 
 

@@ -199,7 +199,7 @@ def test_sweep_out_is_a_file_is_usage_error_before_any_cell(tmp_path, quick_conf
     monkeypatch.setattr("prnn_abc.sim.run", cells.append)
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
-    assert main(["sweep", "--config", str(quick_config), "--grid", "c1=1,2",
+    assert main(["sweep", "--config", str(quick_config), "--grid", "gains.c1=1,2",
                  "--out", str(taken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --out ")
@@ -214,8 +214,11 @@ def test_verify_single_suite(capsys):
     assert "1/1 suites passed" in out
 
 
-def test_verify_unknown_suite():
-    assert main(["verify", "--suite", "nonsense"]) == 2
+def test_verify_unknown_suite(capsys):
+    # an empty name is unknown too; it used to run all ten suites
+    for name in ("nonsense", ""):
+        assert main(["verify", "--suite", name]) == 2
+        assert f"unknown suite {name!r}" in capsys.readouterr().err
 
 
 def test_verify_all_suites_pass(capsys):
@@ -254,7 +257,7 @@ def _sweep_rows(tmp_path, config, *grid):
 def test_sweep_single_cell_matches_simulate(tmp_path, quick_config):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", str(quick_config), "--out", str(sim_out)]) == 0
-    rows = _sweep_rows(tmp_path, quick_config, "vartheta=50")
+    rows = _sweep_rows(tmp_path, quick_config, "prnn.vartheta=50")
     assert len(rows) == 1
     assert rows[0]["status"] == "ok"
     summary = json.loads((sim_out / "summary.json").read_text())
@@ -262,25 +265,25 @@ def test_sweep_single_cell_matches_simulate(tmp_path, quick_config):
 
 
 def test_sweep_grid_and_failures_recorded(tmp_path, quick_config):
-    rows = _sweep_rows(tmp_path, quick_config, "c1=-1,2", "R=0.1,0.01")
+    rows = _sweep_rows(tmp_path, quick_config, "gains.c1=-1,2", "weights.R=0.1,0.01")
     assert len(rows) == 4
     assert rows[0]["status"].startswith("ValueError")
     assert rows[2]["status"] == "ok"
-    assert [r["c1"] for r in rows] == ["-1", "-1", "2", "2"]
+    assert [r["gains.c1"] for r in rows] == ["-1", "-1", "2", "2"]
 
 
 def test_sweep_bad_grid_spec(tmp_path, quick_config):
-    assert main(["sweep", "--config", str(quick_config), "--grid", "vartheta",
+    assert main(["sweep", "--config", str(quick_config), "--grid", "prnn.vartheta",
                  "--out", str(tmp_path / "o")]) == 2
-    assert main(["sweep", "--config", str(quick_config), "--grid", "vartheta=",
+    assert main(["sweep", "--config", str(quick_config), "--grid", "prnn.vartheta=",
                  "--out", str(tmp_path / "o")]) == 2
 
 
 def test_sweep_repeated_grid_name_is_config_error(tmp_path, quick_config, capsys):
     out = tmp_path / "o"
-    assert main(["sweep", "--config", str(quick_config), "--grid", "c1=1,2",
-                 "--grid", "c1=3", "--out", str(out)]) == 2
-    assert "'c1'" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(quick_config), "--grid", "gains.c1=1,2",
+                 "--grid", "gains.c1=3", "--out", str(out)]) == 2
+    assert "'gains.c1'" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
 
 
@@ -292,7 +295,7 @@ def test_sweep_requires_grid(tmp_path, quick_config):
 
 def test_sweep_thread_env(tmp_path, quick_config, monkeypatch):
     monkeypatch.setenv("PRNN_ABC_THREADS", "2")
-    assert len(_sweep_rows(tmp_path, quick_config, "vartheta=25,50")) == 2
+    assert len(_sweep_rows(tmp_path, quick_config, "prnn.vartheta=25,50")) == 2
 
 
 # each of these used to end in a traceback, a clean-looking exit-0 trace, or
@@ -399,11 +402,11 @@ def test_simulate_covariance_loss_is_an_abort(tmp_path, capsys):
 def test_successive_main_calls_keep_no_parsed_state(tmp_path, quick_config, capsys):
     assert build_parser() is build_parser()  # built once per process
     # --grid appends to a list: a later sweep must not see an earlier one's axes
-    first = _sweep_rows(tmp_path / "a", quick_config, "vartheta=25,50", "c1=2")
-    second = _sweep_rows(tmp_path / "b", quick_config, "c2=3")
-    assert [list(row)[:2] for row in first] == [["vartheta", "c1"]] * 2
-    assert [list(row)[0] for row in second] == ["c2"]
-    assert not {"vartheta", "c1"} & set(second[0])
+    first = _sweep_rows(tmp_path / "a", quick_config, "prnn.vartheta=25,50", "gains.c1=2")
+    second = _sweep_rows(tmp_path / "b", quick_config, "gains.c2=3")
+    assert [list(row)[:2] for row in first] == [["prnn.vartheta", "gains.c1"]] * 2
+    assert [list(row)[0] for row in second] == ["gains.c2"]
+    assert not {"prnn.vartheta", "gains.c1"} & set(second[0])
     # the options of one simulate call do not carry over to the next
     on, plain = tmp_path / "on", tmp_path / "plain"
     assert main(["simulate", "--config", str(quick_config), "--out", str(on),
@@ -426,6 +429,6 @@ def test_sweep_non_integral_seed_is_cell_error(tmp_path, quick_config):
 
 
 def test_sweep_infinite_gain_is_cell_error(tmp_path, quick_config):
-    rows = _sweep_rows(tmp_path, quick_config, "c1=inf,2")
+    rows = _sweep_rows(tmp_path, quick_config, "gains.c1=inf,2")
     assert rows[0]["status"] == "ValueError: key 'gains.c1' must be finite, got inf"
     assert rows[1]["status"] == "ok"

@@ -8,7 +8,6 @@ import yaml
 
 from oracles import save_scenario
 from prnn_abc.config import (
-    GRID_KEYS,
     ConfigError,
     Scenario,
     _StrictLoader,
@@ -296,6 +295,19 @@ def test_libyaml_reads_and_writes_like_pure_python(scenario):
     assert parse_scenario(yaml.load(text, Loader=_StrictLoader)) == scenario
 
 
+def _key_paths(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+SCALAR_PATHS = list(_key_paths(scenario_to_dict(Scenario())))
+# names that are not key paths, such as leaf names, fail as that key in a file would
+NOT_PATHS = ["c1", "c2", "T", "R", "vartheta", "u_min", "u_max", "duration"]
+
+
 def _file_tree(base, name, value):
     """`base` as a file tree with the keys that grid axis `name` sets to `value`."""
     tree = scenario_to_dict(base)
@@ -305,8 +317,11 @@ def _file_tree(base, name, value):
         if not math.isnan(value):
             tree["bounds"]["u_min"] = -abs(value)
         return tree
-    section, _, key = GRID_KEYS[name].rpartition(".")
-    (tree[section] if section else tree)[key] = value
+    *sections, key = name.split(".")
+    node = tree
+    for section in sections:
+        node = node[section]
+    node[key] = value
     return tree
 
 
@@ -320,7 +335,7 @@ def _outcome(build, *args):
 # values are typed like their Scenario() default, not like the base: over the
 # integer bounds (-2, 2), u_max 5.5 and bound 2.5 are numbers, not bad integers
 @pytest.mark.parametrize("base", [default_scenario(), replace(default_scenario(), bounds=(-2, 2))])
-@pytest.mark.parametrize("name", sorted([*GRID_KEYS, "bound"]))
+@pytest.mark.parametrize("name", [*SCALAR_PATHS, "bound", *NOT_PATHS])
 @pytest.mark.parametrize("value", [3.0, 2.5, -1.0, 0.0, math.inf, math.nan])
 def test_grid_cell_builds_like_file_tree(base, name, value):
     cell = _outcome(apply_grid_point, base, {name: value})

@@ -12,7 +12,12 @@ the digests and log the rewrite with its reason in CHANGES.md:
 
 The digests do not depend on the BLAS kernel: no logged value goes through a
 BLAS call, and a test recomputes the adaptive runs under another OpenBLAS
-kernel.  `--digests NAME...` prints the fresh digests of the named runs.
+kernel.  They do depend on the libm variant glibc picks for the CPU: its FMA
+and non-FMA `sin`, `cos`, `exp`, `log` and `atan` differ in the last bit on a
+few inputs, and under `GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA` six golden runs
+and the BLAS kernel test fail.  A mismatch on another host may be that drift,
+not a regression.  `--digests NAME...` prints the fresh digests of the named
+runs.
 """
 
 import contextlib

@@ -1,12 +1,23 @@
-"""The README's library example runs, and its `prnn_abc.` names exist."""
+"""The README's library example runs, its `prnn_abc.` names exist, and its sweeps build."""
 
 import importlib
 import re
 from pathlib import Path
 
 import prnn_abc
+from prnn_abc.config import apply_grid_point
+from prnn_abc.sim import default_scenario
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+# (name, values) of each --grid on a `prnn-abc sweep` command line
+SWEEP_AXES = [
+    (name, [float(v) for v in values.split(",")])
+    for line in (README + WORKFLOW).splitlines()
+    if "prnn-abc sweep" in line
+    for name, values in re.findall(r'--grid "?([^=\s"]+)=([^\s"]+)', line)
+]
 
 
 def test_library_use_example_runs(capsys):
@@ -33,3 +44,18 @@ def test_dotted_names_in_readme_resolve():
             importlib.import_module(dotted)
         except ModuleNotFoundError:
             assert hasattr(importlib.import_module(module), attr), dotted
+
+
+def _builds(name, value):
+    try:
+        apply_grid_point(default_scenario(), {name: value})
+    except ValueError:
+        return False
+    return True
+
+
+def test_documented_sweep_axes_are_accepted():
+    assert {"prnn.vartheta", "weights.R", "gains.c1", "initial.x1"} <= {n for n, _ in SWEEP_AXES}
+    # a name that is not a key path fails every value as an unknown key
+    for name, values in SWEEP_AXES:
+        assert any(_builds(name, v) for v in values), (name, values)

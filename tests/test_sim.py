@@ -10,7 +10,7 @@ import pytest
 import prnn_abc.plant as plant_module
 from prnn_abc import sim
 from prnn_abc.backstepping import Gains, ReferenceSignal
-from prnn_abc.config import BOUND_KEYS, GRID_KEYS, Scenario, Timing, apply_grid_point
+from prnn_abc.config import BOUND_KEYS, Scenario, Timing, apply_grid_point
 from prnn_abc.plant import DisturbanceSpec, PlantState
 from prnn_abc.prnn import PrnnConfig
 from prnn_abc.qp import QpCoefficients, Weights
@@ -366,7 +366,7 @@ def test_default_and_sinusoid_scenarios_run():
 
 def test_sweep_single_cell_matches_run():
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 1.0))
-    cells = sweep(base, {"vartheta": [50.0]})
+    cells = sweep(base, {"prnn.vartheta": [50.0]})
     assert len(cells) == 1
     _, direct = run(base)
     assert cells[0].summary == direct
@@ -375,7 +375,7 @@ def test_sweep_single_cell_matches_run():
 
 def test_sweep_vartheta_speeds_network_settling():
     base = replace(SATURATING, timing=Timing(0.001, 0.01, 5.0))
-    cells = sweep(base, {"vartheta": [10.0, 20.0, 40.0]})
+    cells = sweep(base, {"prnn.vartheta": [10.0, 20.0, 40.0]})
     times = [c.summary.time_to_prnn_residual for c in cells]
     assert all(math.isfinite(t) for t in times)
     assert all(b < a for a, b in zip(times, times[1:]))
@@ -383,7 +383,7 @@ def test_sweep_vartheta_speeds_network_settling():
 
 def test_sweep_effort_weight_column_monotone():
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 3.0))
-    cells = sweep(base, {"R": [1.0, 0.1, 0.01]})
+    cells = sweep(base, {"weights.R": [1.0, 0.1, 0.01]})
     conds = [c.summary.mean_condition_residual for c in cells]
     tracks = [c.summary.tracking_cost for c in cells]
     assert all(b < a for a, b in zip(conds, conds[1:]))
@@ -410,16 +410,16 @@ def test_sweep_pool_capped_at_cell_count(monkeypatch):
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.1))
-    cells = sweep(base, {"R": [0.1, -1.0, 0.01]}, max_workers=5000)
+    cells = sweep(base, {"weights.R": [0.1, -1.0, 0.01]}, max_workers=5000)
     assert sizes == [2]  # the invalid R = -1 cell never reaches the pool
     assert [c.summary is not None for c in cells] == [True, False, True]
-    assert cells[0].summary == run(apply_grid_point(base, {"R": 0.1}))[1]
+    assert cells[0].summary == run(apply_grid_point(base, {"weights.R": 0.1}))[1]
 
 
 def test_sweep_grid_order_and_failures():
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
-    cells = sweep(base, {"c1": [-1.0, 2.0], "T": [50.0, 100.0]})
-    want = [{"c1": c1, "T": T} for c1 in (-1.0, 2.0) for T in (50.0, 100.0)]
+    cells = sweep(base, {"gains.c1": [-1.0, 2.0], "weights.T": [50.0, 100.0]})
+    want = [{"gains.c1": c1, "weights.T": T} for c1 in (-1.0, 2.0) for T in (50.0, 100.0)]
     assert [c.coords for c in cells] == want
     assert cells[0].summary is None and "c1" in cells[0].error
     assert cells[1].summary is None
@@ -428,7 +428,7 @@ def test_sweep_grid_order_and_failures():
 
 def test_sweep_parallel_matches_serial():
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
-    grid = {"vartheta": [25.0, 50.0], "R": [0.1, 0.01]}
+    grid = {"prnn.vartheta": [25.0, 50.0], "weights.R": [0.1, 0.01]}
     serial = sweep(base, grid, max_workers=1)
     parallel = sweep(base, grid, max_workers=2)
     assert len(serial) == 4
@@ -439,18 +439,23 @@ def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         sweep(STABILIZE, {})
     with pytest.raises(ValueError):
-        sweep(STABILIZE, {"R": []})
+        sweep(STABILIZE, {"weights.R": []})
 
 
 def test_apply_grid_point_unknown_key():
-    with pytest.raises(ValueError, match="unknown sweep parameter"):
-        apply_grid_point(STABILIZE, {"mass": 2.0})
+    with pytest.raises(ValueError, match=r"unknown key\(s\): params.mass"):
+        apply_grid_point(STABILIZE, {"params.mass": 2.0})
 
 
-@pytest.mark.parametrize("name", sorted(GRID_KEYS))
+@pytest.mark.parametrize(
+    "name",
+    ["gains.c1", "gains.c2", "weights.T", "weights.R", "prnn.vartheta",
+     "bounds.u_min", "bounds.u_max", "timing.duration", "seed"],
+    ids=lambda name: name.rpartition(".")[2],
+)
 def test_grid_axis_sets_its_key_path(name):
-    section, _, key = GRID_KEYS[name].rpartition(".")
-    value = -7.0 if name == "u_min" else 7.0
+    section, _, key = name.rpartition(".")
+    value = -7.0 if key == "u_min" else 7.0
     scenario = apply_grid_point(STABILIZE, {name: value})
     if section == "bounds":
         got = dict(zip(BOUND_KEYS, scenario.bounds))[key]
@@ -469,19 +474,47 @@ def test_grid_bound_sets_both_sides():
 @pytest.mark.parametrize("side", ["u_min", "u_max"])
 def test_grid_bound_clashes_with_either_side(side):
     # in either order one axis would silently override the other
-    for coords in ({"bound": 1.0, side: 5.0}, {side: 5.0, "bound": 1.0}):
-        with pytest.raises(ValueError, match=rf"'bound' and '{side}'"):
+    path = f"bounds.{side}"
+    for coords in ({"bound": 1.0, path: 5.0}, {path: 5.0, "bound": 1.0}):
+        with pytest.raises(ValueError, match=rf"'bound' and '{path}' both set {path}$"):
             apply_grid_point(STABILIZE, coords)
-    cells = sweep(STABILIZE, {side: [5.0], "bound": [1.0]})
+    cells = sweep(STABILIZE, {path: [5.0], "bound": [1.0]})
     assert cells[0].summary is None and "'bound'" in cells[0].error
+
+
+def test_grid_axis_inside_another_axis_clashes():
+    for coords in ({"gains": 1.0, "gains.c1": 2.0}, {"gains.c1": 2.0, "gains": 1.0}):
+        with pytest.raises(ValueError, match=r"'gains' and 'gains.c1' both set gains.c1$"):
+            apply_grid_point(STABILIZE, coords)
+
+
+def test_sweep_over_initial_state_and_timing_axes():
+    # every scalar key path is an axis: these three need no code of their own
+    base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
+    grid = {
+        "initial.x1": [0.05, 0.1],
+        "timing.control_period": [0.01, 0.02],
+        "timing.plant_dt": [0.001, 0.002],
+    }
+    cells = sweep(base, grid)
+    assert [c.error for c in cells] == [""] * 8
+    for cell in cells:
+        assert cell.summary == run(apply_grid_point(base, cell.coords))[1]
+    assert len({repr(c.summary) for c in cells}) == 8
+    for name, message in [
+        ("gains.c3", "unknown key(s): gains.c3"),
+        ("rls.theta0", "key 'rls.theta0' must be a list of 3 numbers"),
+    ]:
+        (cell,) = sweep(base, {name: [1.0]})
+        assert cell.summary is None and cell.error == f"ValueError: {message}"
 
 
 @pytest.mark.parametrize(
     "cell, field, want",
     [
-        ({"u_max": -40.0, "u_min": -50.0}, "bounds", (-50.0, -40.0)),
-        ({"u_min": 40.0, "u_max": 50.0}, "bounds", (40.0, 50.0)),
-        ({"R": 200.0, "T": 1000.0}, "weights", Weights(T=1000.0, R=200.0)),
+        ({"bounds.u_max": -40.0, "bounds.u_min": -50.0}, "bounds", (-50.0, -40.0)),
+        ({"bounds.u_min": 40.0, "bounds.u_max": 50.0}, "bounds", (40.0, 50.0)),
+        ({"weights.R": 200.0, "weights.T": 1000.0}, "weights", Weights(T=1000.0, R=200.0)),
     ],
 )
 def test_grid_cell_axes_apply_together(cell, field, want):
