@@ -24,10 +24,9 @@ class Gains:
     c2: float = 2.0
 
     def __post_init__(self):
-        if not self.c1 > 0:
-            raise ValueError("c1 > 0 required")
-        if not self.c2 > 0:
-            raise ValueError("c2 > 0 required")
+        for name in ("c1", "c2"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"gains.{name} must be > 0, got {getattr(self, name)!r}")
 
 
 _REFERENCE_KINDS = ("constant", "sinusoid", "smoothstep")
@@ -52,12 +51,16 @@ class ReferenceSignal:
 
     def __post_init__(self):
         if self.kind not in _REFERENCE_KINDS:
-            raise ValueError(f"unknown reference kind {self.kind!r}")
+            raise ValueError(
+                f"reference.kind must be one of {', '.join(_REFERENCE_KINDS)}, got {self.kind!r}"
+            )
         if self.kind == "sinusoid" and not self.frequency > 0:
-            raise ValueError("sinusoid reference needs frequency > 0")
+            raise ValueError(f"reference.frequency must be > 0, got {self.frequency!r}")
         # ramp_time**2 divides the second derivative, so it must not underflow either
         if self.kind == "smoothstep" and not (self.ramp_time > 0 and self.ramp_time**2 > 0):
-            raise ValueError("smoothstep reference needs ramp_time > 0")
+            raise ValueError(
+                f"reference.ramp_time must be > 0 and square to > 0, got {self.ramp_time!r}"
+            )
 
 
 def reference_at(ref: ReferenceSignal, t: float) -> tuple[float, float, float]:

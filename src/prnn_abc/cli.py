@@ -44,17 +44,6 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    if getattr(args, "adaptive", None) is not None:
-        scenario = dataclasses.replace(scenario, adaptive=args.adaptive == "on")
-    if getattr(args, "seed", None) is not None:
-        try:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
-        except ValueError as err:
-            raise ConfigError(f"--seed: {err}") from err
-    return scenario
-
-
 def _print_summary(summary: RunSummary) -> None:
     print("run summary:")
     for name in _SUMMARY_FIELDS:
@@ -86,7 +75,14 @@ unset multiplot
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(_load_or_default(args.config), args)
+    scenario = _load_or_default(args.config)
+    if args.adaptive is not None:
+        scenario = dataclasses.replace(scenario, adaptive=args.adaptive == "on")
+    if args.seed is not None:
+        try:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+        except ValueError as err:
+            raise ConfigError(f"--seed: {err}") from err
     out_dir = _out_dir(args.out)
 
     trace, summary = sim.run(scenario)
@@ -114,11 +110,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     scenario = None if args.scenario is None else load_scenario(args.scenario)
     names = None if args.suite is None else [args.suite]
-    try:
-        results = verify.run_suites(names, seed=args.seed, scenario=scenario)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    results = verify.run_suites(names, seed=args.seed, scenario=scenario)
     for result in results:
         print(result.line())
         for line in result.lines:
@@ -148,7 +140,7 @@ def _parse_grid(specs: list[str]) -> dict[str, list[float]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _apply_overrides(_load_or_default(args.config), args)
+    base = _load_or_default(args.config)
     grid = _parse_grid(args.grid)
     out_dir = _out_dir(args.out)
 
@@ -220,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", help="run a single suite (default: all)")
+    p.add_argument(
+        "--suite", choices=list(verify.SUITES), metavar="NAME",
+        help=f"run a single suite (default: all): {', '.join(verify.SUITES)}",
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument("--scenario", help="scenario YAML whose run adds a lyapunov-monitor result")
     p.set_defaults(func=cmd_verify)
@@ -235,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         'or bound for a symmetric actuator box; repeat for a product grid',
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="check a trace file for internal consistency")

@@ -37,14 +37,16 @@ class Timing:
 
     def __post_init__(self):
         if not 0 < self.plant_dt <= self.control_period:
-            raise ValueError("need 0 < plant_dt <= control_period")
+            raise ValueError(
+                f"timing.plant_dt must be in (0, control_period], got {self.plant_dt!r}"
+            )
         if not self.duration > 0:
-            raise ValueError("duration > 0 required")
+            raise ValueError(f"timing.duration must be > 0, got {self.duration!r}")
         ratio = self.control_period / self.plant_dt
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("control_period must be an integer multiple of plant_dt")
+            raise ValueError("timing.control_period must be an integer multiple of plant_dt")
         if self.control_steps < 1:
-            raise ValueError("duration must round to at least one control period")
+            raise ValueError("timing.duration must round to at least one control period")
         # a step too small to move the clock at the run's end would never
         # finish the run
         end = self.control_steps * self.control_period
@@ -74,12 +76,14 @@ class RlsOptions:
     theta0: tuple[float, float, float] | None = None  # explicit initial estimate
 
     def __post_init__(self):
-        if self.theta0_perturbation < 0:
-            raise ValueError("theta0_perturbation must be >= 0")
+        if not self.theta0_perturbation >= 0:
+            raise ValueError(
+                f"rls.theta0_perturbation must be >= 0, got {self.theta0_perturbation!r}"
+            )
         if not self.m0_scale > 0:
-            raise ValueError("m0_scale > 0 required")
+            raise ValueError(f"rls.m0_scale must be > 0, got {self.m0_scale!r}")
         if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
+            raise ValueError(f"rls.warmup_steps must be >= 0, got {self.warmup_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -108,22 +112,21 @@ class Scenario:
         if not (math.isfinite(self.initial.x1) and math.isfinite(self.initial.x2)):
             raise ValueError(f"initial state must be finite, got {self.initial}")
         if not self.bounds[0] < self.bounds[1]:
-            raise ValueError("bounds must satisfy u_min < u_max")
+            raise ValueError("bounds.u_min must be < bounds.u_max")
         if not self.settle_tol > 0:
-            raise ValueError("settle_tol > 0 required")
+            raise ValueError(f"settle_tol must be > 0, got {self.settle_tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the sinusoid's phase 2*pi*f*t must stay finite up to the last RK4
-        # stage time, which lies below twice the run's length, or math.sin
-        # has no value there
+        # a sinusoid's phase 2*pi*f*t must stay finite up to the last time it
+        # is read, below twice the run's length, or math.sin has no value there
         horizon = 2.0 * self.timing.control_steps * self.timing.control_period
-        if self.disturbance.kind == "sinusoid" and not math.isfinite(
-            2.0 * math.pi * self.disturbance.frequency * horizon
-        ):
-            raise ValueError(
-                f"disturbance.frequency {self.disturbance.frequency!r} makes the sinusoid's "
-                f"phase overflow within the run"
-            )
+        for name, signal in (("reference", self.reference), ("disturbance", self.disturbance)):
+            phase = 2.0 * math.pi * signal.frequency * horizon
+            if signal.kind == "sinusoid" and not math.isfinite(phase):
+                raise ValueError(
+                    f"{name}.frequency {signal.frequency!r} makes the sinusoid's "
+                    f"phase overflow within the run"
+                )
 
 
 BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries

@@ -43,7 +43,7 @@ class PendulumParams:
     def __post_init__(self):
         for name in ("g", "m_c", "m", "l"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"PendulumParams.{name} must be strictly positive")
+                raise ValueError(f"params.{name} must be > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,16 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         if self.kind not in _DISTURBANCE_KINDS:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+            raise ValueError(
+                f"disturbance.kind must be one of {', '.join(_DISTURBANCE_KINDS)}, "
+                f"got {self.kind!r}"
+            )
         if not 0 <= self.amplitude < math.inf:
             raise ValueError(
                 f"disturbance.amplitude must be finite and >= 0, got {self.amplitude!r}"
             )
         if self.kind == "sinusoid" and not self.frequency > 0:
-            raise ValueError("sinusoid disturbance needs frequency > 0")
+            raise ValueError(f"disturbance.frequency must be > 0, got {self.frequency!r}")
         # a finite frequency whose angular frequency overflows would make
         # math.sin meet an infinite argument
         if not math.isfinite(2.0 * math.pi * self.frequency):

@@ -49,7 +49,7 @@ class PrnnConfig:
 
     def __post_init__(self):
         if not self.vartheta > 0:
-            raise ValueError("vartheta > 0 required")
+            raise ValueError(f"prnn.vartheta must be > 0, got {self.vartheta!r}")
 
 
 class RelaxResult(NamedTuple):

@@ -28,10 +28,9 @@ class Weights:
     R: float = 0.01
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T > 0 required")
-        if not self.R > 0:
-            raise ValueError("R > 0 required")
+        for name in ("T", "R"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"weights.{name} must be > 0, got {getattr(self, name)!r}")
         if self.T <= self.R:
             # no stacklevel: one frame up is the dataclass-generated __init__,
             # which has no source file to name

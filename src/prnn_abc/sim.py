@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -187,13 +186,7 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
                     except rls.NotYetIdentifiableError:
                         pass  # keep the last model
                     else:
-                        if model is None:
-                            nonphysical = True
-                            # static message: repeated fallbacks deduplicate to one warning
-                            warnings.warn(
-                                "nonphysical parameter estimate; "
-                                "falling back to nominal parameters"
-                            )
+                        nonphysical = nonphysical or model is None
             if model is not None:
                 coeffs = rls.adaptive_coefficients(
                     model, state, e, refs[2], gains, weights, bounds

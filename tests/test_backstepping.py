@@ -88,7 +88,7 @@ def test_reference_validation():
 
 def test_smoothstep_ramp_whose_square_underflows_rejected():
     # ramp_time**2 divides the second derivative; at 1e-200 it is 0.0
-    with pytest.raises(ValueError, match="ramp_time > 0"):
+    with pytest.raises(ValueError, match="^reference.ramp_time must be > 0"):
         ReferenceSignal(kind="smoothstep", ramp_time=1e-200)
     ReferenceSignal(kind="smoothstep", ramp_time=1e-150)
 

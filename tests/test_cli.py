@@ -9,6 +9,7 @@ import pytest
 
 import prnn_abc.plant as plant_module
 from oracles import save_scenario
+from prnn_abc import verify
 from prnn_abc.cli import build_parser, main
 from prnn_abc.config import Scenario, Timing, load_scenario
 from prnn_abc.plant import PlantState
@@ -215,10 +216,23 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    # an empty name is unknown too; it used to run all ten suites
+    # suite names are parser choices, so an empty name is a usage error too
     for name in ("nonsense", ""):
-        assert main(["verify", "--suite", name]) == 2
-        assert f"unknown suite {name!r}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", name])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and repr(name) in err
+
+
+def test_verify_error_inside_a_suite_is_not_a_usage_error(monkeypatch):
+    # only a bad flag or input file is exit 2; a suite's own fault must surface
+    def broken(seed):
+        raise ValueError("math domain error")
+
+    monkeypatch.setitem(verify.SUITES, "gradient", broken)
+    with pytest.raises(ValueError, match="math domain error"):
+        main(["verify", "--suite", "gradient"])
 
 
 def test_verify_all_suites_pass(capsys):
@@ -293,6 +307,16 @@ def test_sweep_requires_grid(tmp_path, quick_config):
     assert exc.value.code == 2
 
 
+def test_sweep_has_no_seed_flag(tmp_path, quick_config, capsys):
+    # the seed is a grid axis like any other key: --grid seed=3
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(quick_config), "--grid", "gains.c1=1",
+              "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_thread_env(tmp_path, quick_config, monkeypatch):
     monkeypatch.setenv("PRNN_ABC_THREADS", "2")
     assert len(_sweep_rows(tmp_path, quick_config, "prnn.vartheta=25,50")) == 2
@@ -335,13 +359,18 @@ def test_simulate_bad_value_is_config_error_naming_key(tmp_path, capsys, path, t
         "disturbance: {kind: sinusoid, amplitude: 1.0, frequency: 1.0e+308}",
         # 2*pi*f is finite, but the phase overflows before the 5 s run ends
         "disturbance: {kind: sinusoid, amplitude: 1.0, frequency: 1.0e+307}",
+        # the reference obeys the same rule: the first once aborted at t=0 as
+        # a non-finite network state, the second raised from math.sin
+        "reference: {kind: sinusoid, amplitude: 0.1, frequency: 1.0e+308}",
+        "reference: {kind: sinusoid, amplitude: 0.0, frequency: 1.0e+307}",
     ],
 )
 def test_simulate_overflowing_disturbance_frequency_is_config_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n", encoding="utf-8")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error: disturbance.frequency")
+    section = text.partition(":")[0]
+    assert capsys.readouterr().err.startswith(f"config error: {section}.frequency")
     assert not (tmp_path / "out").exists()
 
 

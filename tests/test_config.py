@@ -132,6 +132,49 @@ def test_negative_top_level_seed_rejected():
         parse_scenario({"seed": -1, "adaptive": True})
 
 
+# one tree per range check of a section or of the scenario; values pass the
+# type rule, so each error comes from the check itself
+SECTION_CHECKS = [
+    ("params.g", {"params": {"g": 0.0}}),
+    ("params.m_c", {"params": {"m_c": -1.0}}),
+    ("params.m", {"params": {"m": 0.0}}),
+    ("params.l", {"params": {"l": -0.5}}),
+    ("reference.kind", {"reference": {"kind": "sawtooth"}}),
+    ("reference.frequency", {"reference": {"kind": "sinusoid", "frequency": 0.0}}),
+    ("reference.frequency", {"reference": {"kind": "sinusoid", "frequency": 1e307}}),
+    ("reference.ramp_time", {"reference": {"kind": "smoothstep", "ramp_time": 1e-200}}),
+    ("disturbance.kind", {"disturbance": {"kind": "gust"}}),
+    ("disturbance.amplitude", {"disturbance": {"kind": "constant", "amplitude": -1.0}}),
+    ("disturbance.frequency", {"disturbance": {"kind": "sinusoid", "frequency": 0.0}}),
+    ("disturbance.frequency", {"disturbance": {"frequency": 1e308}}),
+    ("disturbance.frequency", {"disturbance": {"kind": "sinusoid", "frequency": 1e307}}),
+    ("disturbance.seed", {"disturbance": {"seed": 2**64}}),
+    ("gains.c1", {"gains": {"c1": -1.0}}),
+    ("gains.c2", {"gains": {"c2": 0.0}}),
+    ("weights.T", {"weights": {"T": 0.0}}),
+    ("weights.R", {"weights": {"R": -0.01}}),
+    ("bounds.u_min", {"bounds": {"u_min": 40.0}}),
+    ("timing.plant_dt", {"timing": {"plant_dt": 0.02}}),
+    ("timing.plant_dt", {"timing": {"plant_dt": 1e-300}}),
+    ("timing.duration", {"timing": {"duration": -1.0}}),
+    ("timing.duration", {"timing": {"duration": 0.004}}),
+    ("timing.control_period", {"timing": {"control_period": 0.0105}}),
+    ("prnn.vartheta", {"prnn": {"vartheta": 0.0}}),
+    ("rls.theta0_perturbation", {"rls": {"theta0_perturbation": -0.1}}),
+    ("rls.m0_scale", {"rls": {"m0_scale": 0.0}}),
+    ("rls.warmup_steps", {"rls": {"warmup_steps": -1}}),
+    ("seed", {"seed": -1}),
+    ("settle_tol", {"settle_tol": 0.0}),
+]
+
+
+@pytest.mark.parametrize("path, tree", SECTION_CHECKS, ids=[str(t) for _, t in SECTION_CHECKS])
+def test_range_error_names_its_key_path(path, tree):
+    with pytest.raises(ConfigError) as info:
+        parse_scenario(tree)
+    assert str(info.value).startswith(f"{path} ")
+
+
 DEFAULT_YAML = """\
 params:
   g: 9.8

@@ -67,7 +67,6 @@ def fresh_digests(scenario: dict | None) -> dict[str, str]:
         return digests(scenario, Path(tmp))
 
 
-@pytest.mark.filterwarnings("ignore:nonphysical parameter estimate")
 @pytest.mark.parametrize("name", list(RUNS))
 def test_run_writes_golden_bytes(name, tmp_path):
     pinned = dict(RUNS[name])

@@ -1,11 +1,14 @@
-"""The README's library example runs, its `prnn_abc.` names exist, and its sweeps build."""
+"""The README's library example runs, its `prnn_abc.` names exist, its scenario block is
+the default scenario, and its sweeps build."""
 
 import importlib
 import re
 from pathlib import Path
 
+import yaml
+
 import prnn_abc
-from prnn_abc.config import apply_grid_point
+from prnn_abc.config import Scenario, apply_grid_point, parse_scenario, scenario_to_dict
 from prnn_abc.sim import default_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +47,13 @@ def test_dotted_names_in_readme_resolve():
             importlib.import_module(dotted)
         except ModuleNotFoundError:
             assert hasattr(importlib.import_module(module), attr), dotted
+
+
+def test_scenario_file_block_is_the_default_scenario():
+    text = re.search(r"\n## Scenario files\n.*?```yaml\n(.*?)```", README, re.S).group(1)
+    tree = yaml.safe_load(text)
+    assert parse_scenario(tree) == Scenario()
+    assert list(tree) == list(scenario_to_dict(Scenario()))
 
 
 def _builds(name, value):

@@ -106,6 +106,8 @@ def trees(draw):
 @given(trees())
 # a finite frequency whose 2*pi*f overflows once crashed inside the first step
 @example({"disturbance": {"kind": "sinusoid", "amplitude": 1.0, "frequency": 1.0e308}})
+# a reference phase that overflows within the run once raised from math.sin
+@example({"reference": {"kind": "sinusoid", "amplitude": 0.0, "frequency": 1.0e307}})
 def test_every_tree_is_config_error_abort_or_clean_run(tree):
     try:
         scenario = parse_scenario(tree)
