@@ -56,10 +56,21 @@ class ReferenceSignal:
             )
         if self.kind == "sinusoid" and not self.frequency > 0:
             raise ValueError(f"reference.frequency must be > 0, got {self.frequency!r}")
-        # ramp_time**2 divides the second derivative, so it must not underflow either
-        if self.kind == "smoothstep" and not (self.ramp_time > 0 and self.ramp_time**2 > 0):
+        # the second derivative's scale, as `reference_at` forms it; an
+        # infinite one times sin(0) = 0 would be NaN at t=0
+        w = 2.0 * math.pi * self.frequency
+        if self.kind == "sinusoid" and not math.isfinite(self.amplitude * w * w):
             raise ValueError(
-                f"reference.ramp_time must be > 0 and square to > 0, got {self.ramp_time!r}"
+                f"reference.frequency must keep amplitude*(2*pi*frequency)**2 finite, "
+                f"got {self.frequency!r} at amplitude {self.amplitude!r}"
+            )
+        # ramp_time**2 divides the second derivative, so it must neither
+        # underflow nor overflow
+        t2 = self.ramp_time * self.ramp_time
+        if self.kind == "smoothstep" and not (self.ramp_time > 0 and 0 < t2 < math.inf):
+            raise ValueError(
+                f"reference.ramp_time must be > 0 and square to a finite number > 0, "
+                f"got {self.ramp_time!r}"
             )
 
 

@@ -113,8 +113,8 @@ class Scenario:
             raise ValueError(f"initial state must be finite, got {self.initial}")
         if not self.bounds[0] < self.bounds[1]:
             raise ValueError("bounds.u_min must be < bounds.u_max")
-        if not self.settle_tol > 0:
-            raise ValueError(f"settle_tol must be > 0, got {self.settle_tol!r}")
+        if not 0 < self.settle_tol < math.inf:
+            raise ValueError(f"settle_tol must be finite and > 0, got {self.settle_tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # a sinusoid's phase 2*pi*f*t must stay finite up to the last time it

@@ -9,9 +9,10 @@ so that dx2/dt = A(x) + B(x) * u + d.
 d is a pure function of (DisturbanceSpec, t).  `stage_disturbance` samples
 it ahead of the integration, at every RK4 stage time of a whole run at once,
 and `step` integrates the rows it is given without knowing how d is made.
-For speed, `step` writes the acceleration out at each of its four RK4
-stages, in the exact expression order of `drift_term` and `gain_term`;
-tests/test_plant.py checks it bit for bit against textbook RK4 over them.
+For speed, `step` writes A + B*u + d out at each of its four RK4 stages
+over one shared denominator, with one division per stage; tests/test_plant.py
+checks it bit for bit against textbook RK4 over the same expression, and
+that expression against `drift_term` and `gain_term` to rounding.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ def step(
     `stage_disturbance(spec, t, dt, steps).tolist()` gives them.  Raises
     IntegrationBlowupError, naming the time, for a non-finite u and as soon
     as a step leaves the finite range.  The stage acceleration is written
-    out four times; `test_step_stage_copies_match_textbook_rk4` pins them.
+    out four times as (g*s - c*(k*v**2*s - f)) / (l43 - k*c*c) + d, with
+    k = m*l/(m_c+m), f = u/(m_c+m) and l43 = 4l/3 formed once per call;
+    `test_step_stage_copies_match_textbook_rk4` pins the four copies.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -212,30 +215,26 @@ def step(
     if not math.isfinite(u):
         raise IntegrationBlowupError(f"non-finite force u={u!r} at t={t:.6f}")
     sin, cos, isfinite = math.sin, math.cos, math.isfinite
-    g, m, l = params.g, params.m, params.l
-    m_sum = params.m_c + m
-    ml = m * l
+    g, l = params.g, params.l
+    m_sum = params.m_c + params.m
+    k, f, l43 = params.m * l / m_sum, u / m_sum, l * (4.0 / 3.0)
     x1, x2 = state.x1, state.x2
     h, sixth = 0.5 * dt, dt / 6.0
     for i, (d_start, d_mid, d_end) in enumerate(stages):
         try:
-            # each stage is drift_term + gain_term * u + d in their exact
-            # expression order, the same in all four copies; k1x is x2
+            # each stage is A + B*u + d in one expression order, the same in
+            # all four copies; k1x is x2
             s, c = sin(x1), cos(x1)
-            den = l * (4.0 / 3.0 - m * c**2 / m_sum)
-            k1v = (g * s - ml * x2**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d_start
+            k1v = (g * s - c * (k * x2**2 * s - f)) / (l43 - k * c * c) + d_start
             k2x = x2 + h * k1v
             s, c = sin(y := x1 + h * x2), cos(y)
-            den = l * (4.0 / 3.0 - m * c**2 / m_sum)
-            k2v = (g * s - ml * k2x**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d_mid
+            k2v = (g * s - c * (k * k2x**2 * s - f)) / (l43 - k * c * c) + d_mid
             k3x = x2 + h * k2v
             s, c = sin(y := x1 + h * k2x), cos(y)
-            den = l * (4.0 / 3.0 - m * c**2 / m_sum)
-            k3v = (g * s - ml * k3x**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d_mid
+            k3v = (g * s - c * (k * k3x**2 * s - f)) / (l43 - k * c * c) + d_mid
             k4x = x2 + dt * k3v
             s, c = sin(y := x1 + dt * k3x), cos(y)
-            den = l * (4.0 / 3.0 - m * c**2 / m_sum)
-            k4v = (g * s - ml * k4x**2 * c * s / m_sum) / den + (c / m_sum) / den * u + d_end
+            k4v = (g * s - c * (k * k4x**2 * s - f)) / (l43 - k * c * c) + d_end
         except (OverflowError, ValueError) as err:
             # stage values left the representable range: x2**2 overflows, or
             # sin/cos meet an infinite angle

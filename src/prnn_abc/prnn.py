@@ -42,14 +42,14 @@ class IntegrationDivergedError(RuntimeError):
 class PrnnConfig:
     """Network settings.
 
-    vartheta: convergence-rate constant (1/s), > 0.
+    vartheta: convergence-rate constant (1/s), finite and > 0.
     """
 
     vartheta: float = 50.0
 
     def __post_init__(self):
-        if not self.vartheta > 0:
-            raise ValueError(f"prnn.vartheta must be > 0, got {self.vartheta!r}")
+        if not 0 < self.vartheta < math.inf:
+            raise ValueError(f"prnn.vartheta must be finite and > 0, got {self.vartheta!r}")
 
 
 class RelaxResult(NamedTuple):

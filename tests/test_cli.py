@@ -363,6 +363,10 @@ def test_simulate_bad_value_is_config_error_naming_key(tmp_path, capsys, path, t
         # a non-finite network state, the second raised from math.sin
         "reference: {kind: sinusoid, amplitude: 0.1, frequency: 1.0e+308}",
         "reference: {kind: sinusoid, amplitude: 0.0, frequency: 1.0e+307}",
+        # the phase stays finite, but amplitude*(2*pi*f)**2 in the reference's
+        # second derivative overflows: this aborted at t=0 as a non-finite
+        # network state
+        "reference: {kind: sinusoid, amplitude: 0.1, frequency: 1.0e+160}",
     ],
 )
 def test_simulate_overflowing_disturbance_frequency_is_config_error(tmp_path, capsys, text):

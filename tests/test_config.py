@@ -1,12 +1,14 @@
 """Scenario configuration parsing, validation, and round-tripping."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
 import yaml
 
 from oracles import save_scenario
+from prnn_abc.backstepping import ReferenceSignal
 from prnn_abc.config import (
     ConfigError,
     Scenario,
@@ -17,6 +19,7 @@ from prnn_abc.config import (
     parse_scenario,
     scenario_to_dict,
 )
+from prnn_abc.prnn import PrnnConfig
 from prnn_abc.sim import default_scenario, sinusoid_scenario
 
 
@@ -142,7 +145,9 @@ SECTION_CHECKS = [
     ("reference.kind", {"reference": {"kind": "sawtooth"}}),
     ("reference.frequency", {"reference": {"kind": "sinusoid", "frequency": 0.0}}),
     ("reference.frequency", {"reference": {"kind": "sinusoid", "frequency": 1e307}}),
+    ("reference.frequency", {"reference": {"kind": "sinusoid", "amplitude": 1, "frequency": 1e160}}),
     ("reference.ramp_time", {"reference": {"kind": "smoothstep", "ramp_time": 1e-200}}),
+    ("reference.ramp_time", {"reference": {"kind": "smoothstep", "ramp_time": 1e200}}),
     ("disturbance.kind", {"disturbance": {"kind": "gust"}}),
     ("disturbance.amplitude", {"disturbance": {"kind": "constant", "amplitude": -1.0}}),
     ("disturbance.frequency", {"disturbance": {"kind": "sinusoid", "frequency": 0.0}}),
@@ -265,6 +270,25 @@ def test_non_finite_value_names_its_key(path, value):
     tree = {section: {key: value}} if section else {key: value}
     with pytest.raises(ConfigError, match=rf"^key '{path}' must be"):
         parse_scenario(tree)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PrnnConfig(vartheta=math.inf), "prnn.vartheta must be finite and > 0"),
+        (
+            lambda: ReferenceSignal(kind="smoothstep", ramp_time=math.inf),
+            "reference.ramp_time must be > 0 and square to a finite number > 0",
+        ),
+        (lambda: Scenario(settle_tol=math.inf), "settle_tol must be finite and > 0"),
+    ],
+    ids=["prnn.vartheta", "reference.ramp_time", "settle_tol"],
+)
+def test_infinite_value_built_in_code_rejected(build, message):
+    # the section checks hold the file rule's finiteness for a scenario built
+    # in code; each of these once ran a whole loop without an abort
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got inf$"):
+        build()
 
 
 def test_infinite_bounds_leave_the_box_open():

@@ -14,10 +14,11 @@ The digests do not depend on the BLAS kernel: no logged value goes through a
 BLAS call, and a test recomputes the adaptive runs under another OpenBLAS
 kernel.  They do depend on the libm variant glibc picks for the CPU: its FMA
 and non-FMA `sin`, `cos`, `exp`, `log` and `atan` differ in the last bit on a
-few inputs, and under `GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA` six golden runs
-and the BLAS kernel test fail.  A mismatch on another host may be that drift,
-not a regression.  `--digests NAME...` prints the fresh digests of the named
-runs.
+few inputs, and under `GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA` seven golden
+runs (all but the default, nonphysical, bounded-from-0.18-vartheta-1e4 and
+exact-law runs) and the BLAS kernel test fail.  A mismatch on another host
+may be that drift, not a regression.  `--digests NAME...` prints the fresh
+digests of the named runs.
 """
 
 import contextlib

@@ -124,6 +124,21 @@ def test_derivatives_affine_in_control():
         assert abs((d2 - d1) - b * (u2 - u1)) < 1e-12 * scale
 
 
+def test_derivatives_match_drift_plus_gain_times_u():
+    # the oracle (and so plant.step) writes A + B*u over one denominator;
+    # it must stay the model that drift_term and gain_term give the controller
+    rng = np.random.default_rng(23)
+    for _ in range(5000):
+        g, m_c, m, l = rng.uniform([1, 0.1, 0.01, 0.1], [20, 10, 5, 2]).tolist()
+        params = PendulumParams(g, m_c, m, l)
+        state = PlantState(float(rng.uniform(-1.55, 1.55)), float(rng.uniform(-20, 20)))
+        u, d = float(rng.uniform(-100, 100)), float(rng.uniform(-5, 5))
+        a, bu = drift_term(params, state), gain_term(params, state) * u
+        assert abs(derivatives(params, state, u, d)[1] - (a + bu + d)) <= 1e-13 * (
+            abs(a) + abs(bu) + abs(d)
+        )
+
+
 def test_rewritten_acceleration_identity():
     # A + B*u equals the three-term rewrite with x2dot substituted
     # self-consistently; the forms are algebraically identical.
@@ -325,8 +340,8 @@ def _reference_step(state, u, spec, t, dt):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
 def test_step_bit_identical_to_reference_rk4(spec):
-    # exact equality pins the fused step to the expression order of
-    # drift_term/gain_term; large steps keep a one-ulp stage difference
+    # exact equality pins the fused step to the expression order of the
+    # oracle derivatives; large steps keep a one-ulp stage difference
     # from being rounded away in x + dt/6 * (...)
     rng = np.random.default_rng(11)
     for _ in range(500):

@@ -241,6 +241,17 @@ def test_exact_baseline_on_reference_stays():
     assert summary.max_abs_s1 < 1e-9
 
 
+def test_exact_baseline_does_not_read_the_effort_weight():
+    # verify's r-consistency suite runs one baseline for all four R on this premise
+    base = replace(Scenario(), bounds=(-1e6, 1e6))
+    columns = [
+        [record.u for record in run_exact_baseline(replace(base, weights=Weights(T=100.0, R=r)))[0]]
+        for r in (1.0, 0.001)
+    ]
+    assert len(columns[0]) == 500
+    assert columns[0] == columns[1] == [record.u for record in run_exact_baseline(base)[0]]
+
+
 def test_exact_baseline_aborts_when_input_gain_vanishes():
     # B(x) = 0 at x1 = pi/2; just inside the half-plane |B| < 1e-9
     scenario = replace(STABILIZE, initial=PlantState(math.pi / 2 - 1e-12, 0.0))
