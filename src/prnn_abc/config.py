@@ -42,6 +42,7 @@ class Timing:
             )
         if not self.duration > 0:
             raise ValueError(f"timing.duration must be > 0, got {self.duration!r}")
+        _require_finite("timing", self)  # before round() meets an infinite ratio
         ratio = self.control_period / self.plant_dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("timing.control_period must be an integer multiple of plant_dt")
@@ -127,6 +128,23 @@ class Scenario:
                     f"{name}.frequency {signal.frequency!r} makes the sinusoid's "
                     f"phase overflow within the run"
                 )
+        for name, section in vars(self).items():
+            if is_dataclass(section):
+                _require_finite(name, section)
+
+
+def _require_finite(name: str, section) -> None:
+    """The file rule's finiteness for a section built in code, after its own range checks.
+
+    A float field, or an entry of a tuple field, that is +-inf or NaN is a
+    ValueError naming its key path, e.g. `params.m_c` or `rls.theta0[2]`.
+    """
+    for key, value in vars(section).items():
+        entries = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, v in entries:
+            if isinstance(v, float) and not math.isfinite(v):
+                path = f"{name}.{key}" if i is None else f"{name}.{key}[{i}]"
+                raise ValueError(f"{path} must be finite, got {v!r}")
 
 
 BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries

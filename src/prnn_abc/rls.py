@@ -10,17 +10,15 @@ which the forgetting-free RLS recursion estimates sample by sample.  The
 physical quantities are recovered by inverting the theta definition, and the
 adaptive controller rebuilds its QP coefficients from those estimates.
 
-Pi, theta_hat and M are tuples of Python floats, and every sum is written out
-in a fixed order: a 3-vector costs no numpy call, and an estimate comes out
-bit for bit the same whichever BLAS kernel numpy picks for the CPU.
+theta (true, initial and estimated), Pi and M are tuples of Python floats,
+and every sum is written out in a fixed order: with no numpy here, an estimate
+is bit for bit the same whichever BLAS kernel numpy picks for the CPU.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .backstepping import ErrorCoords, Gains
 from .plant import PendulumParams, PlantState, drift_term, gain_term
@@ -36,28 +34,26 @@ class NotYetIdentifiableError(RuntimeError):
     """theta components needed for inversion are still too close to zero."""
 
 
-def true_theta(params: PendulumParams) -> np.ndarray:
+def true_theta(params: PendulumParams) -> Vector3:
     """Parameter combinations the regression model identifies."""
     m_sum = params.m_c + params.m
-    return np.array([params.m / m_sum, 1.0 / params.l, 1.0 / (params.l * m_sum)])
+    return (params.m / m_sum, 1.0 / params.l, 1.0 / (params.l * m_sum))
 
 
 class RlsState(NamedTuple):
-    """Estimate vector, covariance-like matrix, and sample counter."""
+    """Estimate vector and covariance-like matrix."""
 
     theta_hat: Vector3
     M: Matrix3  # symmetric positive definite, M[i][j] == M[j][i] exactly
-    k: int = 0
 
 
-def initial_state(theta0, m0_scale: float = 100.0) -> RlsState:
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (3,):
+def initial_state(theta0: Vector3, m0_scale: float) -> RlsState:
+    if len(theta0) != 3:
         raise ValueError("theta0 must be a 3-vector")
     if not m0_scale > 0:
         raise ValueError("m0_scale > 0 required")
     s = float(m0_scale)
-    return RlsState(tuple(theta0.tolist()), ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s)))
+    return RlsState(tuple(theta0), ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s)))
 
 
 def regressor(state: PlantState, x2dot: float, u: float, g: float) -> Vector3:
@@ -119,7 +115,6 @@ def update(s: RlsState, pi: Vector3, y: float) -> RlsState:
             (n01, m11 - g1 * v1, n12),
             (n02, n12, m22 - g2 * v2),
         ),
-        s.k + 1,
     )
 
 
@@ -130,7 +125,7 @@ def extract_physical(theta_hat: Vector3, g: float) -> PendulumParams | None:
     NotYetIdentifiableError while theta2 or theta3 sit below the
     identifiability floor; the loop then keeps its last model.
     """
-    t1, t2, t3 = (float(v) for v in theta_hat)
+    t1, t2, t3 = theta_hat
     if t2 <= IDENTIFIABILITY_EPS or t3 <= IDENTIFIABILITY_EPS:
         raise NotYetIdentifiableError(
             f"theta2={t2:.3e}, theta3={t3:.3e} below identifiability floor"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -81,14 +81,14 @@ class TraceRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Scalar metrics of a completed (or aborted) run."""
+    """Scalar figures of a completed (or aborted) run's trace, then the run's flags."""
 
     settling_time: float        # first t after which |S1| stays < settle_tol; nan if never
     max_abs_s1: float
     control_effort: float       # integral of u^2 dt
     tracking_cost: float        # integral of S1^2 dt
     saturation_fraction: float  # fraction of control steps with u on a bound
-    final_theta_error: float    # ||theta_hat - theta_true|| / ||theta_true||; nan if not adaptive
+    final_theta_error: float    # relative error of the last logged theta; nan if none
     time_to_prnn_residual: float  # first t after which the residual stays < 1e-6; nan if never
     mean_condition_residual: float
     final_v2: float
@@ -100,13 +100,13 @@ class RunSummary:
 _NO_THETA = (math.nan, math.nan, math.nan)
 
 
-def initial_theta(scenario: Scenario) -> np.ndarray:
+def initial_theta(scenario: Scenario) -> rls.Vector3:
     """Initial estimate: explicit override or nominal perturbed by the seed."""
     if scenario.rls.theta0 is not None:
-        return np.asarray(scenario.rls.theta0, dtype=float)
-    rng = np.random.default_rng(scenario.seed)
-    truth = rls.true_theta(scenario.params)
-    return truth * (1.0 + scenario.rls.theta0_perturbation * rng.uniform(-1.0, 1.0, 3))
+        return scenario.rls.theta0
+    draws = np.random.default_rng(scenario.seed).uniform(-1.0, 1.0, 3).tolist()
+    scale = scenario.rls.theta0_perturbation
+    return tuple(t * (1.0 + scale * r) for t, r in zip(rls.true_theta(scenario.params), draws))
 
 
 def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:
@@ -230,9 +230,7 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
             reason = f"period of {n} plant sub-steps does not fit in memory at t={t:.6f}"
             break
 
-    theta_final = rls_state.theta_hat if adaptive else None
-    summary = _summarize(records, sc, aborted, reason, nonphysical, theta_final)
-    return records, summary
+    return records, _summarize(records, sc, aborted, reason, nonphysical)
 
 
 def holds_below_from(values: np.ndarray, threshold: float, times: np.ndarray) -> float:
@@ -253,23 +251,11 @@ def _summarize(
     aborted: bool,
     reason: str,
     nonphysical: bool,
-    theta_final: rls.Vector3 | None,
 ) -> RunSummary:
-    if not records:
-        return RunSummary(
-            settling_time=math.nan,
-            max_abs_s1=math.nan,
-            control_effort=math.nan,
-            tracking_cost=math.nan,
-            saturation_fraction=math.nan,
-            final_theta_error=math.nan,
-            time_to_prnn_residual=math.nan,
-            mean_condition_residual=math.nan,
-            final_v2=math.nan,
-            aborted=aborted,
-            abort_reason=reason,
-            nonphysical_estimate=nonphysical,
-        )
+    flags = {"aborted": aborted, "abort_reason": reason, "nonphysical_estimate": nonphysical}
+    if not records:  # no trace, no figures
+        figures = {f.name: math.nan for f in fields(RunSummary) if f.name not in flags}
+        return RunSummary(**figures, **flags)
     period = scenario.timing.control_period
     t = np.array([r.t for r in records])
     s1 = np.array([r.S1 for r in records])
@@ -279,12 +265,12 @@ def _summarize(
     lo, hi = scenario.bounds
     on_bound = (u <= lo + 1e-12 * (1.0 + abs(lo))) | (u >= hi - 1e-12 * (1.0 + abs(hi)))
 
-    if theta_final is not None:
-        truth = rls.true_theta(scenario.params).tolist()
+    last = records[-1]
+    theta_err = math.nan  # unless the trace logs an estimate: only adaptive runs do
+    if not math.isnan(last.theta1):
+        theta, truth = (last.theta1, last.theta2, last.theta3), rls.true_theta(scenario.params)
         # math.hypot, not np.linalg.norm: no BLAS call, so no kernel-dependent bits
-        theta_err = math.hypot(*(a - b for a, b in zip(theta_final, truth))) / math.hypot(*truth)
-    else:
-        theta_err = math.nan
+        theta_err = math.hypot(*(a - b for a, b in zip(theta, truth))) / math.hypot(*truth)
 
     return RunSummary(
         settling_time=holds_below_from(s1, scenario.settle_tol, t),
@@ -295,10 +281,8 @@ def _summarize(
         final_theta_error=theta_err,
         time_to_prnn_residual=holds_below_from(res, PRNN_RESIDUAL_SETTLED, t),
         mean_condition_residual=float(np.mean(cond)),
-        final_v2=records[-1].V2,
-        aborted=aborted,
-        abort_reason=reason,
-        nonphysical_estimate=nonphysical,
+        final_v2=last.V2,
+        **flags,
     )
 
 

@@ -162,16 +162,26 @@ def test_validate_accepts_fresh_trace(tmp_path, quick_config):
     assert main(["validate", str(out / "trace.csv")]) == 0
 
 
-def test_validate_rejects_tampered_trace(tmp_path, quick_config):
+def test_validate_rejects_tampered_trace(tmp_path, quick_config, capsys):
     out = tmp_path / "out"
     main(["simulate", "--config", str(quick_config), "--out", str(out)])
     path = out / "trace.csv"
-    lines = path.read_text(encoding="utf-8").splitlines()
+    fresh = path.read_text(encoding="utf-8").splitlines()
+    lines = list(fresh)
     parts = lines[3].split(",")
     parts[12] = "0.125"  # stored V2 no longer matches S1, S2
     lines[3] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["validate", str(path)]) == 1
+    # a non-finite angle is a problem of its own row
+    lines = list(fresh)
+    parts = lines[5].split(",")
+    parts[TRACE_COLUMNS.index("x1")] = "nan"
+    lines[5] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == "row 4: non-finite x1"
 
 
 def test_validate_missing_file(tmp_path):
@@ -286,11 +296,17 @@ def test_sweep_grid_and_failures_recorded(tmp_path, quick_config):
     assert [r["gains.c1"] for r in rows] == ["-1", "-1", "2", "2"]
 
 
-def test_sweep_bad_grid_spec(tmp_path, quick_config):
+def test_sweep_bad_grid_spec(tmp_path, quick_config, capsys):
     assert main(["sweep", "--config", str(quick_config), "--grid", "prnn.vartheta",
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["sweep", "--config", str(quick_config), "--grid", "prnn.vartheta=",
                  "--out", str(tmp_path / "o")]) == 2
+    # a value that is no number, and a list with no value, quote the spec
+    for spec in ("gains.c1=abc", "gains.c1=,"):
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(quick_config), "--grid", spec,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: grid spec {spec!r}" in capsys.readouterr().err
 
 
 def test_sweep_repeated_grid_name_is_config_error(tmp_path, quick_config, capsys):
@@ -317,9 +333,14 @@ def test_sweep_has_no_seed_flag(tmp_path, quick_config, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_sweep_thread_env(tmp_path, quick_config, monkeypatch):
+def test_sweep_thread_env(tmp_path, quick_config, monkeypatch, capsys):
     monkeypatch.setenv("PRNN_ABC_THREADS", "2")
     assert len(_sweep_rows(tmp_path, quick_config, "prnn.vartheta=25,50")) == 2
+    # a malformed value is ignored with a warning, and the cells run serially
+    monkeypatch.setenv("PRNN_ABC_THREADS", "abc")
+    capsys.readouterr()
+    assert len(_sweep_rows(tmp_path, quick_config, "prnn.vartheta=25,50")) == 2
+    assert "ignoring malformed PRNN_ABC_THREADS='abc'" in capsys.readouterr().err
 
 
 # each of these used to end in a traceback, a clean-looking exit-0 trace, or
@@ -464,4 +485,11 @@ def test_sweep_non_integral_seed_is_cell_error(tmp_path, quick_config):
 def test_sweep_infinite_gain_is_cell_error(tmp_path, quick_config):
     rows = _sweep_rows(tmp_path, quick_config, "gains.c1=inf,2")
     assert rows[0]["status"] == "ValueError: key 'gains.c1' must be finite, got inf"
+    assert rows[1]["status"] == "ok"
+
+
+def test_sweep_aborted_cell_records_its_reason(tmp_path, quick_config):
+    rows = _sweep_rows(tmp_path, quick_config, "initial.x1=1.6,0.1")
+    assert rows[0]["status"] == "aborted: |x1| >= pi/2 at t=0.000000 (x1=1.6000 rad)"
+    assert rows[0]["aborted"] == "True"
     assert rows[1]["status"] == "ok"

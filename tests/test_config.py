@@ -2,7 +2,8 @@
 
 import math
 import re
-from dataclasses import replace
+import warnings
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 import yaml
@@ -11,6 +12,7 @@ from oracles import save_scenario
 from prnn_abc.backstepping import ReferenceSignal
 from prnn_abc.config import (
     ConfigError,
+    RlsOptions,
     Scenario,
     _StrictLoader,
     apply_grid_point,
@@ -251,6 +253,7 @@ def test_explicit_theta0_dumps_last_in_rls():
     assert sc.rls.theta0 == (0.1, 2.0, 1.7)
     assert list(scenario_to_dict(sc)["rls"].items())[-1] == ("theta0", [0.1, 2.0, 1.7])
     assert "theta0" not in scenario_to_dict(Scenario())["rls"]
+    assert parse_scenario({"rls": {"theta0": None}}).rls.theta0 is None
 
 
 @pytest.mark.parametrize(
@@ -289,6 +292,55 @@ def test_infinite_value_built_in_code_rejected(build, message):
     # in code; each of these once ran a whole loop without an abort
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got inf$"):
         build()
+
+
+def _code_built(path, value):
+    """Scenario() with the float at key path `path` (a section field or rls.theta0[i]) set."""
+    name, _, key = path.partition(".")
+    if key.startswith("theta0["):
+        theta0 = [1.0, 2.0, 3.0]
+        theta0[int(key[len("theta0["):-1])] = value
+        return Scenario(rls=RlsOptions(theta0=tuple(theta0)))
+    section = getattr(Scenario(), name)
+    return replace(Scenario(), **{name: replace(section, **{key: value})})
+
+
+# every float field of every section, found by walking the dataclass fields
+FLOAT_PATHS = [
+    f"{s.name}.{f.name}"
+    for s in fields(Scenario)
+    if is_dataclass(section := getattr(Scenario(), s.name))
+    for f in fields(section)
+    if isinstance(getattr(section, f.name), float)
+] + [f"rls.theta0[{i}]" for i in range(3)]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("path", FLOAT_PATHS)
+def test_non_finite_section_value_built_in_code_rejected(path, value):
+    # the file rule holds for a scenario built in code: no float is +-inf or NaN.
+    # A section's own range check may fire first; its message names the section
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # weights.R = inf also warns T <= R
+        with pytest.raises(ValueError) as info:
+            _code_built(path, value)
+    assert str(info.value).startswith(path.partition(".")[0])
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("params.m_c", math.inf, "params.m_c must be finite, got inf"),
+        ("params.m_c", -math.inf, "params.m_c must be > 0, got -inf"),
+        ("timing.duration", math.inf, "timing.duration must be finite, got inf"),
+        ("reference.setpoint", math.nan, "reference.setpoint must be finite, got nan"),
+        ("rls.excitation_gate", -math.inf, "rls.excitation_gate must be finite, got -inf"),
+        ("rls.theta0[2]", math.nan, "rls.theta0[2] must be finite, got nan"),
+    ],
+)
+def test_finiteness_rule_names_the_key_after_the_range_checks(path, value, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        _code_built(path, value)
 
 
 def test_infinite_bounds_leave_the_box_open():

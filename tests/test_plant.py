@@ -239,6 +239,14 @@ def test_step_blowup_from_infinite_stage_angle():
     assert type(info.value.__cause__) is ValueError
 
 
+def test_step_blowup_at_the_end_of_a_sub_step():
+    # every stage is finite, but their weighted sum overflows: the check after
+    # the sub-step fires, not the one around the stages
+    with pytest.raises(IntegrationBlowupError, match="t=0.000000") as info:
+        step(PendulumParams(), PlantState(0, 0), 1e308, 0.0, 1e-300, [[0, 0, 0]])
+    assert info.value.__cause__ is None
+
+
 def _textbook_stages(state, u, dt, row):
     """The four RK4 stages (dx1, dx2) of one step over the oracle derivatives, lazily.
 

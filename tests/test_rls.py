@@ -27,12 +27,13 @@ from prnn_abc.rls import (
 from prnn_abc.verify import batch_least_squares, rls_samples_from_trace
 
 PARAMS = PendulumParams()
-THETA_TRUE = true_theta(PARAMS)
+THETA_TRUE = np.asarray(true_theta(PARAMS))
 BOUNDS = (-30.0, 30.0)
 
 
 def test_true_theta_table_values():
     assert THETA_TRUE == pytest.approx([1.0 / 11.0, 2.0, 20.0 / 11.0], rel=1e-14)
+    assert all(type(v) is float for v in true_theta(PARAMS))
 
 
 def test_regressor_at_rest():
@@ -113,11 +114,10 @@ def _synthetic_samples(n, seed, noise=0.0):
 
 
 def test_update_zero_regressor_is_identity():
-    s = initial_state(THETA_TRUE * 1.1)
+    s = initial_state(THETA_TRUE * 1.1, 100.0)
     s2 = update(s, np.zeros(3), 0.7)
     assert np.array_equal(s2.theta_hat, s.theta_hat)
     assert np.array_equal(s2.M, s.M)
-    assert s2.k == 1
 
 
 def test_update_pinned_bits():
@@ -129,7 +129,6 @@ def test_update_pinned_bits():
             (-11.157615617334901, 81.56836134868813, -37.11270533786734),
             (-22.466222809216383, -37.11270533786734, 25.272357843379595),
         ),
-        k=1,
     )
     pi = (-0.4720868372925112, -0.733775612354187, -2.2387593718755583)
     s2 = update(s, pi, -1.1)
@@ -139,7 +138,6 @@ def test_update_pinned_bits():
         (-38.25319018426147, 28.17572127428432, -2.0052159368423403),
         (-4.649954582032663, -2.0052159368423403, 2.1879812265740384),
     )
-    assert s2.k == 2
     assert all(type(v) is float for v in (*s2.theta_hat, *s2.M[0], *s2.M[1], *s2.M[2]))
 
 
@@ -174,7 +172,7 @@ def test_update_rejects_non_spd_covariance():
 
 
 def test_update_consistent_sample_keeps_estimate():
-    s = initial_state(THETA_TRUE)
+    s = initial_state(THETA_TRUE, 100.0)
     pi = regressor(PlantState(0.2, 0.5), 1.3, 2.0, PARAMS.g)
     # exact model output, summed in update's order: the innovation is zero
     y = pi[0] * s.theta_hat[0] + pi[1] * s.theta_hat[1] + pi[2] * s.theta_hat[2]
@@ -210,7 +208,7 @@ def test_recursive_matches_batch_solve():
 
 def test_covariance_stays_spd_and_trace_shrinks():
     pis, ys = _synthetic_samples(10_000, seed=35, noise=0.05)
-    s = initial_state(THETA_TRUE * 1.3)
+    s = initial_state(THETA_TRUE * 1.3, 100.0)
     prev_trace = float(np.trace(s.M))
     for pi, y in zip(pis, ys):
         s = update(s, pi, y)
@@ -226,7 +224,7 @@ def test_covariance_stays_spd_and_trace_shrinks():
 
 def test_innovation_mean_square_nonincreasing():
     pis, ys = _synthetic_samples(400, seed=36)
-    s = initial_state(THETA_TRUE * 1.3)
+    s = initial_state(THETA_TRUE * 1.3, 100.0)
     sq = []
     for pi, y in zip(pis, ys):
         sq.append((y - float(np.asarray(pi) @ np.asarray(s.theta_hat))) ** 2)
@@ -342,6 +340,6 @@ def test_unidentifiable_period_keeps_the_last_model(monkeypatch):
 
 def test_initial_state_validation():
     with pytest.raises(ValueError):
-        initial_state([1.0, 2.0])
+        initial_state([1.0, 2.0], 100.0)
     with pytest.raises(ValueError):
         initial_state(THETA_TRUE, m0_scale=0.0)

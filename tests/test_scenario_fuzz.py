@@ -9,6 +9,7 @@ control steps of at most 20 plant sub-steps each.
 """
 
 import math
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,8 @@ PLAUSIBLE = {
 }
 TOP = {"adaptive": st.booleans(), "seed": st.integers(0, 2**40), "settle_tol": number(1e-4, 0.1)}
 PATHS = [(s, k) for s, keys in PLAUSIBLE.items() for k in keys] + [(None, k) for k in TOP]
+
+WEIGHTS_WARNING = "tracking weight T should exceed effort weight R"
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 WRONG_TYPE = st.one_of(
@@ -109,10 +112,21 @@ def trees(draw):
 # a reference phase that overflows within the run once raised from math.sin
 @example({"reference": {"kind": "sinusoid", "amplitude": 0.0, "frequency": 1.0e307}})
 def test_every_tree_is_config_error_abort_or_clean_run(tree):
-    try:
-        scenario = parse_scenario(tree)
-    except ConfigError:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            scenario = parse_scenario(tree)
+        except ConfigError:
+            scenario = None
+    messages = [str(w.message) for w in caught]
+    if scenario is None:
+        # a tree that fails after its weights section may have warned about them
+        assert all(m.startswith(WEIGHTS_WARNING) for m in messages)
         return
+    # the weights warn once, exactly when the tracking weight does not exceed the effort weight
+    weights = scenario.weights
+    warned = [f"{WEIGHTS_WARNING}; got T={weights.T}, R={weights.R}"]
+    assert messages == (warned if weights.T <= weights.R else [])
     records, summary = run(scenario)
     if summary.aborted:
         assert "t=" in summary.abort_reason

@@ -116,6 +116,26 @@ def test_adaptive_tracking_with_perturbed_estimate():
     assert np.all(np.isfinite(theta_cols))
 
 
+def test_final_theta_error_is_that_of_the_last_logged_theta(monkeypatch):
+    # the 61st period updates the estimate, then aborts before logging it
+    real_relax = sim.prnn.relax
+    calls = []
+
+    def relax(*args):
+        calls.append(None)
+        if len(calls) == 61:
+            raise sim.prnn.IntegrationDivergedError("network state diverged")
+        return real_relax(*args)
+
+    monkeypatch.setattr(sim.prnn, "relax", relax)
+    scenario = replace(sinusoid_scenario(), adaptive=True, seed=3, timing=Timing(0.001, 0.01, 1.0))
+    trace, summary = run(scenario)
+    assert summary.aborted and len(trace) == 60
+    truth = np.asarray(sim.rls.true_theta(scenario.params))
+    logged = np.linalg.norm(np.asarray(_theta(trace[-1])) - truth) / np.linalg.norm(truth)
+    assert summary.final_theta_error == pytest.approx(logged, rel=1e-12)
+
+
 def test_abort_when_leaving_half_plane():
     # powerless controller cannot catch a large initial angle
     scenario = replace(STABILIZE, initial=PlantState(1.4, 0.0), bounds=(-0.05, 0.05),
@@ -284,6 +304,7 @@ def test_exact_baseline_ignores_adaptive_flag():
 def test_monitor_clean_on_baseline_and_prnn():
     trace_b, _ = run_exact_baseline(replace(STABILIZE, timing=Timing(0.001, 0.01, 3.0)))
     assert lyapunov_monitor(trace_b) == []
+    assert lyapunov_monitor(trace_b[:1]) == []  # one row has no step to check
     trace_p, _ = run(replace(STABILIZE, timing=Timing(0.001, 0.01, 3.0)))
     transient = 5.0 / STABILIZE.prnn.vartheta
     assert [v for v in lyapunov_monitor(trace_p) if v.t > transient] == []

@@ -105,6 +105,10 @@ def test_check_trace_clean(short_trace):
     assert check_trace(short_trace) == []
 
 
+def test_check_trace_empty():
+    assert check_trace([]) == ["trace is empty"]
+
+
 def test_check_trace_catches_tampered_v2(short_trace):
     tampered = list(short_trace)
     tampered[3] = tampered[3]._replace(V2=tampered[3].V2 + 1e-3)
