@@ -4,20 +4,24 @@ A file is a key-value tree that mirrors `Scenario`: one mapping per section
 field, keyed by the section's field names, and the scalar fields at the top
 level, all in declaration order.  Every key is optional and defaults to
 `Scenario()`; unknown keys are rejected with their full path so typos cannot
-silently fall back to defaults, and every value passes `checked_value`,
-which names the key path.  A key given twice in one mapping is rejected with
-its line.  A sweep cell is a partial tree over a base scenario; both go
-through `_build`.  Serialization round-trips exactly: parse(dump(parse(x)))
-yields an identical Scenario.  Files are read and written through libyaml
-when PyYAML has it; the constructor and representer are PyYAML's safe ones
-either way, so the parsed tree and the dumped text do not depend on it.
+silently fall back to defaults.  One value rule, `_checked`, walks a tree
+against the default one, `_LIKE`, and names the key path of a bad value: a
+file or a sweep cell (a partial tree over a base scenario) goes through it
+section by section in `_build`, and a `Scenario` built in code goes through
+it whole.  A key given twice in one mapping is rejected with its line.
+Serialization round-trips exactly: parse(dump(parse(x))) yields an identical
+Scenario.  Files are read and written through libyaml when PyYAML has it;
+the constructor and representer are PyYAML's safe ones either way, so the
+parsed tree and the dumped text do not depend on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+import warnings
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import yaml
 
@@ -36,13 +40,15 @@ class Timing:
     duration: float = 5.0
 
     def __post_init__(self):
+        # the file's value rule first, so round() never meets an infinite ratio
+        for key, value in vars(self).items():
+            checked_value(f"timing.{key}", value, 0.0)
         if not 0 < self.plant_dt <= self.control_period:
             raise ValueError(
                 f"timing.plant_dt must be in (0, control_period], got {self.plant_dt!r}"
             )
         if not self.duration > 0:
             raise ValueError(f"timing.duration must be > 0, got {self.duration!r}")
-        _require_finite("timing", self)  # before round() meets an infinite ratio
         ratio = self.control_period / self.plant_dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("timing.control_period must be an integer multiple of plant_dt")
@@ -110,8 +116,9 @@ class Scenario:
     settle_tol: float = 0.01
 
     def __post_init__(self):
-        if not (math.isfinite(self.initial.x1) and math.isfinite(self.initial.x2)):
-            raise ValueError(f"initial state must be finite, got {self.initial}")
+        # the file's value rule; the sections ran their own range checks when
+        # they were built, and the scenario's follow
+        _checked("", scenario_to_dict(self), _LIKE, exact=True)
         if not self.bounds[0] < self.bounds[1]:
             raise ValueError("bounds.u_min must be < bounds.u_max")
         if not 0 < self.settle_tol < math.inf:
@@ -128,23 +135,13 @@ class Scenario:
                     f"{name}.frequency {signal.frequency!r} makes the sinusoid's "
                     f"phase overflow within the run"
                 )
-        for name, section in vars(self).items():
-            if is_dataclass(section):
-                _require_finite(name, section)
-
-
-def _require_finite(name: str, section) -> None:
-    """The file rule's finiteness for a section built in code, after its own range checks.
-
-    A float field, or an entry of a tuple field, that is +-inf or NaN is a
-    ValueError naming its key path, e.g. `params.m_c` or `rls.theta0[2]`.
-    """
-    for key, value in vars(section).items():
-        entries = enumerate(value) if isinstance(value, tuple) else [(None, value)]
-        for i, v in entries:
-            if isinstance(v, float) and not math.isfinite(v):
-                path = f"{name}.{key}" if i is None else f"{name}.{key}[{i}]"
-                raise ValueError(f"{path} must be finite, got {v!r}")
+        if self.weights.T <= self.weights.R:
+            # no stacklevel: one frame up is the dataclass-generated __init__,
+            # which has no source file to name
+            warnings.warn(
+                "tracking weight T should exceed effort weight R; "
+                f"got T={self.weights.T}, R={self.weights.R}"
+            )
 
 
 BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries
@@ -154,9 +151,10 @@ _OPEN_KEYS = ("bounds.u_min", "bounds.u_max")  # +-inf here leaves that side of 
 def checked_value(path: str, value, like):
     """`value` for the scenario key at `path`, typed like that key's default `like`.
 
-    The one value rule of scenario files and sweep grids; a ValueError names
-    the key path.  Numbers must be finite and not NaN, except that the bounds
-    may be +-inf.  Integer keys take integral numbers, so a grid's 3.0 is 3.
+    The leaf of the value rule (`_checked`) for files, sweep grids and
+    scenarios built in code; a ValueError names the key path.  Numbers must
+    be finite and not NaN, except that the bounds may be +-inf.  Integer keys
+    take integral numbers, so a grid's 3.0 is 3.
     """
     if isinstance(like, (bool, str)):
         if not isinstance(value, type(like)):
@@ -211,42 +209,37 @@ class _StrictLoader(_SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
-def _finish(prefix: str, data: dict) -> None:
-    if data:
-        stray = sorted(f"{prefix}{k}" for k in data)
-        raise ValueError(f"unknown key(s): {', '.join(stray)}")
+def _checked(path: str, value, like, exact: bool = False):
+    """`value` for the scenario key at `path` under the value rule, typed like `like`.
 
-
-def _theta0(raw) -> tuple[float, float, float] | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ValueError("key 'rls.theta0' must be a list of 3 numbers")
-    return tuple(checked_value(f"rls.theta0[{i}]", v, 0.0) for i, v in enumerate(raw))
-
-
-def _parse_section(name: str, raw, base, default):
-    """Section `base` with the keys of `raw` applied, each typed like its `default`."""
-    if raw is not None and not isinstance(raw, dict):
-        raise ValueError(f"section '{name}' must be a mapping, got {raw!r}")
-    data = dict(raw or {})
-    if name == "bounds":
-        value = tuple(
-            checked_value(f"bounds.{k}", data.pop(k), d) if k in data else b
-            for k, b, d in zip(BOUND_KEYS, base, default)
-        )
-    else:
-        changes = {}
-        for f in fields(default):
-            if f.name in data:
-                path, given = f"{name}.{f.name}", data.pop(f.name)
-                if path == "rls.theta0":
-                    changes[f.name] = _theta0(given)
-                else:
-                    changes[f.name] = checked_value(path, given, getattr(default, f.name))
-        value = replace(base, **changes)
-    _finish(f"{name}.", data)
-    return value
+    `like` is the node of `_LIKE` at `path`.  A mapping takes its known keys,
+    each checked in declaration order, and no other; `rls.theta0` takes None
+    or a list of 3 numbers; a leaf goes through `checked_value`.  `exact` is
+    for a scenario built in code: it refuses an integral float at an integer
+    key, which a file's 3.0 is converted from, and a None section, which a
+    file's empty section reads as.  A ValueError names the key path.
+    """
+    if isinstance(like, dict):
+        if value is None and not exact:
+            return {}
+        if not isinstance(value, dict):
+            raise ValueError(f"section '{path}' must be a mapping, got {value!r}")
+        prefix = f"{path}." if path else ""
+        out = {k: _checked(prefix + k, value[k], v, exact) for k, v in like.items() if k in value}
+        if len(out) < len(value):
+            stray = sorted(f"{prefix}{k}" for k in value if k not in like)
+            raise ValueError(f"unknown key(s): {', '.join(stray)}")
+        return out
+    if isinstance(like, list):
+        if value is None:
+            return None
+        if not isinstance(value, (list, tuple)) or len(value) != len(like):
+            raise ValueError(f"key '{path}' must be a list of {len(like)} numbers")
+        return tuple(_checked(f"{path}[{i}]", v, like[i], exact) for i, v in enumerate(value))
+    checked = checked_value(path, value, like)
+    if exact and type(checked) is int and isinstance(value, float):
+        raise ValueError(f"key '{path}' must be an integer, got {value!r}")
+    return checked
 
 
 def _build(tree: dict, base: Scenario) -> Scenario:
@@ -256,16 +249,16 @@ def _build(tree: dict, base: Scenario) -> Scenario:
     `Scenario()` default, not like `base`; a bad one raises a ValueError naming its key.
     """
     root = dict(tree)
-    defaults = Scenario()
     changes = {}
-    for f in fields(Scenario):
-        if f.name in root:
-            given, default = root.pop(f.name), getattr(defaults, f.name)
-            if f.name == "bounds" or is_dataclass(default):
-                changes[f.name] = _parse_section(f.name, given, getattr(base, f.name), default)
-            else:
-                changes[f.name] = checked_value(f.name, given, default)
-    _finish("", root)
+    for name, like in _LIKE.items():
+        if name in root:
+            value, current = _checked(name, root.pop(name), like), getattr(base, name)
+            if name == "bounds":
+                value = tuple(value.get(k, b) for k, b in zip(BOUND_KEYS, current))
+            elif isinstance(like, dict):
+                value = replace(current, **value)
+            changes[name] = value
+    _checked("", root, _LIKE)  # only unknown keys are left
     return replace(base, **changes)
 
 
@@ -308,19 +301,26 @@ def apply_grid_point(base: Scenario, coords: dict[str, float]) -> Scenario:
 def scenario_to_dict(s: Scenario) -> dict:
     """Configuration tree that parses back to an identical Scenario."""
     out = {}
-    for f in fields(s):
-        value = getattr(s, f.name)
-        if f.name == "bounds":
+    for name, value in vars(s).items():
+        if name == "bounds":
             value = dict(zip(BOUND_KEYS, value))
         elif is_dataclass(value):
-            # an unset optional (rls.theta0) is left out; tuples dump as lists
+            # the unset optional rls.theta0 is left out; tuples dump as lists
             value = {
                 k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(value).items()
-                if v is not None
+                for k, v in vars(value).items()
+                if not (k == "theta0" and v is None)
             }
-        out[f.name] = value
+        out[name] = value
     return out
+
+
+# the tree of `Scenario()`, with rls.theta0 as three numbers; built from the
+# field defaults, since every Scenario, the default too, is checked against it
+_LIKE = scenario_to_dict(SimpleNamespace(**{
+    f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(Scenario)
+}))
+_LIKE["rls"]["theta0"] = [0.0, 0.0, 0.0]
 
 
 def load_scenario(path) -> Scenario:

@@ -13,7 +13,6 @@ projection-network optimizer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,13 +30,6 @@ class Weights:
         for name in ("T", "R"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"weights.{name} must be > 0, got {getattr(self, name)!r}")
-        if self.T <= self.R:
-            # no stacklevel: one frame up is the dataclass-generated __init__,
-            # which has no source file to name
-            warnings.warn(
-                "tracking weight T should exceed effort weight R; "
-                f"got T={self.T}, R={self.R}"
-            )
 
 
 class _QpFields(NamedTuple):

@@ -48,10 +48,6 @@ class RlsState(NamedTuple):
 
 
 def initial_state(theta0: Vector3, m0_scale: float) -> RlsState:
-    if len(theta0) != 3:
-        raise ValueError("theta0 must be a 3-vector")
-    if not m0_scale > 0:
-        raise ValueError("m0_scale > 0 required")
     s = float(m0_scale)
     return RlsState(tuple(theta0), ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s)))
 

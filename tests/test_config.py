@@ -2,8 +2,7 @@
 
 import math
 import re
-import warnings
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -11,9 +10,11 @@ import yaml
 from oracles import save_scenario
 from prnn_abc.backstepping import ReferenceSignal
 from prnn_abc.config import (
+    BOUND_KEYS,
     ConfigError,
     RlsOptions,
     Scenario,
+    _LIKE,
     _StrictLoader,
     apply_grid_point,
     dumps_scenario,
@@ -21,6 +22,7 @@ from prnn_abc.config import (
     parse_scenario,
     scenario_to_dict,
 )
+from prnn_abc.plant import DisturbanceSpec
 from prnn_abc.prnn import PrnnConfig
 from prnn_abc.sim import default_scenario, sinusoid_scenario
 
@@ -283,64 +285,138 @@ def test_non_finite_value_names_its_key(path, value):
             lambda: ReferenceSignal(kind="smoothstep", ramp_time=math.inf),
             "reference.ramp_time must be > 0 and square to a finite number > 0",
         ),
-        (lambda: Scenario(settle_tol=math.inf), "settle_tol must be finite and > 0"),
+        (lambda: Scenario(settle_tol=math.inf), "key 'settle_tol' must be finite"),
     ],
     ids=["prnn.vartheta", "reference.ramp_time", "settle_tol"],
 )
 def test_infinite_value_built_in_code_rejected(build, message):
-    # the section checks hold the file rule's finiteness for a scenario built
-    # in code; each of these once ran a whole loop without an abort
+    # each of these once ran a whole loop without an abort; a section's own
+    # check refuses it when the section is built, the file rule when the
+    # scenario is
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got inf$"):
         build()
 
 
+def _leaves(tree, prefix=""):
+    """(key path, default) of every leaf of a default tree; a list's entries are indexed."""
+    for key, like in tree.items():
+        if isinstance(like, dict):
+            yield from _leaves(like, f"{prefix}{key}.")
+        elif isinstance(like, list):
+            yield from ((f"{prefix}{key}[{i}]", x) for i, x in enumerate(like))
+        else:
+            yield f"{prefix}{key}", like
+
+
+LEAVES = list(_leaves(_LIKE))
+FLOAT_PATHS = [path for path, like in LEAVES if type(like) is float]
+INT_PATHS = [path for path, like in LEAVES if type(like) is int]
+
+
+def _theta0_with(key, value):
+    """theta0 [1, 2, 3] with the entry that section key `key`, e.g. theta0[2], names set."""
+    theta0 = [1.0, 2.0, 3.0]
+    theta0[int(key[len("theta0["):-1])] = value
+    return theta0
+
+
 def _code_built(path, value):
-    """Scenario() with the float at key path `path` (a section field or rls.theta0[i]) set."""
+    """Scenario() with the value at key path `path` set in code."""
+    name, _, key = path.partition(".")
+    sc = Scenario()
+    if not key:
+        return replace(sc, **{name: value})
+    if name == "bounds":
+        bounds = dict(zip(BOUND_KEYS, sc.bounds), **{key: value})
+        return replace(sc, bounds=tuple(bounds.values()))
+    if key.startswith("theta0["):
+        return replace(sc, rls=RlsOptions(theta0=tuple(_theta0_with(key, value))))
+    section = getattr(sc, name)
+    return replace(sc, **{name: replace(section, **{key: value})})
+
+
+def _file_built(path, value):
+    """The file tree that sets the value at key path `path`, parsed."""
     name, _, key = path.partition(".")
     if key.startswith("theta0["):
-        theta0 = [1.0, 2.0, 3.0]
-        theta0[int(key[len("theta0["):-1])] = value
-        return Scenario(rls=RlsOptions(theta0=tuple(theta0)))
-    section = getattr(Scenario(), name)
-    return replace(Scenario(), **{name: replace(section, **{key: value})})
+        key, value = "theta0", _theta0_with(key, value)
+    return parse_scenario({name: {key: value}} if key else {name: value})
 
 
-# every float field of every section, found by walking the dataclass fields
-FLOAT_PATHS = [
-    f"{s.name}.{f.name}"
-    for s in fields(Scenario)
-    if is_dataclass(section := getattr(Scenario(), s.name))
-    for f in fields(section)
-    if isinstance(getattr(section, f.name), float)
-] + [f"rls.theta0[{i}]" for i in range(3)]
+def _assert_one_rule(path, value):
+    # code gets the file's outcome, or a section's own range check fired
+    # first, when the section was built; that message leads with the key path
+    code = _outcome(_code_built, path, value)
+    file = _outcome(_file_built, path, value)
+    assert code == file or (
+        isinstance(code, str) and isinstance(file, str) and code.startswith(f"{path} ")
+    )
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("path", FLOAT_PATHS)
 def test_non_finite_section_value_built_in_code_rejected(path, value):
-    # the file rule holds for a scenario built in code: no float is +-inf or NaN.
-    # A section's own range check may fire first; its message names the section
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # weights.R = inf also warns T <= R
-        with pytest.raises(ValueError) as info:
-            _code_built(path, value)
-    assert str(info.value).startswith(path.partition(".")[0])
+    # the file rule holds for a scenario built in code: no float is +-inf or
+    # NaN, except that the bounds may be +-inf in both
+    _assert_one_rule(path, value)
+
+
+@pytest.mark.parametrize("value", [True, 1.5])
+@pytest.mark.parametrize("path", INT_PATHS)
+def test_non_integer_value_built_in_code_rejected(path, value):
+    _assert_one_rule(path, value)
+
+
+def test_every_leaf_is_a_float_or_integer_key_or_a_flag_or_a_kind():
+    kinds = {path for path, like in LEAVES if type(like) in (bool, str)}
+    assert kinds == {"reference.kind", "disturbance.kind", "adaptive"}
+    assert INT_PATHS == ["disturbance.seed", "rls.warmup_steps", "seed"]
+    assert len(FLOAT_PATHS) + len(INT_PATHS) + len(kinds) == len(LEAVES)
 
 
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        ("params.m_c", math.inf, "params.m_c must be finite, got inf"),
+        ("params.m_c", math.inf, "key 'params.m_c' must be finite, got inf"),
         ("params.m_c", -math.inf, "params.m_c must be > 0, got -inf"),
-        ("timing.duration", math.inf, "timing.duration must be finite, got inf"),
-        ("reference.setpoint", math.nan, "reference.setpoint must be finite, got nan"),
-        ("rls.excitation_gate", -math.inf, "rls.excitation_gate must be finite, got -inf"),
-        ("rls.theta0[2]", math.nan, "rls.theta0[2] must be finite, got nan"),
+        ("timing.duration", math.inf, "key 'timing.duration' must be finite, got inf"),
+        ("reference.setpoint", math.nan, "key 'reference.setpoint' must be finite, got nan"),
+        ("rls.excitation_gate", -math.inf, "key 'rls.excitation_gate' must be finite, got -inf"),
+        ("rls.theta0[2]", math.nan, "key 'rls.theta0[2]' must be finite, got nan"),
     ],
 )
 def test_finiteness_rule_names_the_key_after_the_range_checks(path, value, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         _code_built(path, value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Scenario(rls=RlsOptions(theta0=(1.0, 2.0))),
+         "key 'rls.theta0' must be a list of 3 numbers"),
+        (lambda: Scenario(rls=RlsOptions(warmup_steps=True)),
+         "key 'rls.warmup_steps' must be an integer, got True"),
+        (lambda: Scenario(seed=1.5), "key 'seed' must be an integer, got 1.5"),
+        (lambda: Scenario(adaptive=0), "key 'adaptive' must be true/false, got 0"),
+        (lambda: Scenario(seed="a"), "key 'seed' must be an integer, got 'a'"),
+        # a file's 3.0 is 3, but in code an integer key takes an int
+        (lambda: Scenario(seed=3.0), "key 'seed' must be an integer, got 3.0"),
+        (lambda: Scenario(disturbance=DisturbanceSpec(kind="bounded-uniform-random", seed=3.0)),
+         "key 'disturbance.seed' must be an integer, got 3.0"),
+        (lambda: Scenario(rls=RlsOptions(warmup_steps=10.0)),
+         "key 'rls.warmup_steps' must be an integer, got 10.0"),
+        # a file's empty section reads as None, but a section built in code is never None
+        (lambda: Scenario(gains=None), "section 'gains' must be a mapping, got None"),
+    ],
+    ids=["theta0-of-2", "warmup-true", "seed-1.5", "adaptive-0", "seed-str", "seed-3.0",
+         "disturbance.seed-3.0", "warmup-10.0", "gains-none"],
+)
+def test_shape_and_type_rule_built_in_code(build, message):
+    # each of these once constructed; seed 3.0 and disturbance.seed 3.0 then
+    # made sim.run raise TypeError
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        build()
 
 
 def test_infinite_bounds_leave_the_box_open():
@@ -414,15 +490,7 @@ def test_libyaml_reads_and_writes_like_pure_python(scenario):
     assert parse_scenario(yaml.load(text, Loader=_StrictLoader)) == scenario
 
 
-def _key_paths(tree, prefix=""):
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            yield from _key_paths(value, f"{prefix}{key}.")
-        else:
-            yield f"{prefix}{key}"
-
-
-SCALAR_PATHS = list(_key_paths(scenario_to_dict(Scenario())))
+SCALAR_PATHS = [path for path, _ in LEAVES if "[" not in path]
 # names that are not key paths, such as leaf names, fail as that key in a file would
 NOT_PATHS = ["c1", "c2", "T", "R", "vartheta", "u_min", "u_max", "duration"]
 

@@ -1,9 +1,13 @@
 """QP assembly, cost/gradient, and the closed-form oracle."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from prnn_abc.backstepping import ErrorCoords, Gains
+from prnn_abc.config import Scenario
 from prnn_abc.qp import QpCoefficients, Weights, assemble, cost, gradient, solve_oracle
 
 B_AT_0 = 1.4634146341463414
@@ -11,18 +15,25 @@ BOUNDS = (-30.0, 30.0)
 
 
 def test_weights_warn_when_effort_dominates():
-    with pytest.warns(UserWarning, match="T should exceed"):
-        Weights(T=1.0, R=1.0)
+    # the scenario warns, after its value rule, so a refused value never does
+    with pytest.warns(UserWarning, match=r"^tracking weight T should exceed effort weight R; "
+                                         r"got T=1.0, R=1.0$"):
+        Scenario(weights=Weights(T=1.0, R=1.0))
     with pytest.warns(UserWarning):
+        Scenario(weights=Weights(T=0.5, R=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         Weights(T=0.5, R=1.0)
+        with pytest.raises(ValueError, match=r"^key 'weights.R' must be finite, got inf$"):
+            Scenario(weights=Weights(R=math.inf))
 
 
 def test_weights_warning_names_a_source_file():
-    # one frame up is the dataclass-generated __init__, reported as "<string>"
+    # one frame up from the dataclass-generated __init__ would be "<string>"
     with pytest.warns(UserWarning, match="T should exceed") as record:
-        Weights(T=1.0, R=1.0)
+        Scenario(weights=Weights(T=1.0, R=1.0))
     assert record[0].filename != "<string>"
-    assert record[0].filename.endswith("qp.py")
+    assert record[0].filename.endswith("config.py")
 
 
 def test_weights_validation():

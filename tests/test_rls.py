@@ -9,7 +9,7 @@ import pytest
 
 from oracles import derivatives
 from prnn_abc.backstepping import ErrorCoords, Gains, error_coords, reference_at
-from prnn_abc.config import RlsOptions, Timing
+from prnn_abc.config import RlsOptions, Scenario, Timing
 from prnn_abc.plant import PendulumParams, PlantState, drift_term, gain_term
 from prnn_abc import rls, sim
 from prnn_abc.qp import Weights, assemble
@@ -339,7 +339,8 @@ def test_unidentifiable_period_keeps_the_last_model(monkeypatch):
 
 
 def test_initial_state_validation():
-    with pytest.raises(ValueError):
-        initial_state([1.0, 2.0], 100.0)
-    with pytest.raises(ValueError):
-        initial_state(THETA_TRUE, m0_scale=0.0)
+    # initial_state takes what a Scenario holds, and the scenario refuses the rest
+    with pytest.raises(ValueError, match=r"^key 'rls.theta0' must be a list of 3 numbers$"):
+        Scenario(rls=RlsOptions(theta0=(1.0, 2.0)))
+    with pytest.raises(ValueError, match=r"^rls.m0_scale must be > 0, got 0.0$"):
+        Scenario(rls=RlsOptions(m0_scale=0.0))

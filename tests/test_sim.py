@@ -1,6 +1,7 @@
 """Closed-loop runs, Lyapunov monitoring, and parameter sweeps."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -57,7 +58,9 @@ def test_scenario_validation():
 
 @pytest.mark.parametrize("initial", [PlantState(math.nan, 0.0), PlantState(0.0, -math.inf)])
 def test_scenario_rejects_non_finite_initial_state(initial):
-    with pytest.raises(ValueError, match="initial state must be finite"):
+    key = "x1" if not math.isfinite(initial.x1) else "x2"
+    message = f"key 'initial.{key}' must be finite, got {getattr(initial, key)!r}"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         Scenario(initial=initial)
 
 
