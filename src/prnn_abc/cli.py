@@ -79,10 +79,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.adaptive is not None:
         scenario = dataclasses.replace(scenario, adaptive=args.adaptive == "on")
     if args.seed is not None:
-        try:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
-        except ValueError as err:
-            raise ConfigError(f"--seed: {err}") from err
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     out_dir = _out_dir(args.out)
 
     trace, summary = sim.run(scenario)
@@ -194,6 +191,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The --seed of simulate and verify: a non-negative integer, else a usage error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        pass
+    else:
+        if seed >= 0:
+            return seed
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 @functools.cache  # parse_args keeps no state in the parser, so in-process callers share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -207,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario YAML (bundled default if omitted)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--adaptive", choices=("on", "off"), help="override the adaptive flag")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed, help="override the scenario seed")
     p.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
     p.set_defaults(func=cmd_simulate)
 
@@ -216,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=list(verify.SUITES), metavar="NAME",
         help=f"run a single suite (default: all): {', '.join(verify.SUITES)}",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for randomized suites")
     p.add_argument("--scenario", help="scenario YAML whose run adds a lyapunov-monitor result")
     p.set_defaults(func=cmd_verify)
 

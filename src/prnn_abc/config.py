@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import SimpleNamespace
 
@@ -135,13 +134,6 @@ class Scenario:
                     f"{name}.frequency {signal.frequency!r} makes the sinusoid's "
                     f"phase overflow within the run"
                 )
-        if self.weights.T <= self.weights.R:
-            # no stacklevel: one frame up is the dataclass-generated __init__,
-            # which has no source file to name
-            warnings.warn(
-                "tracking weight T should exceed effort weight R; "
-                f"got T={self.weights.T}, R={self.weights.R}"
-            )
 
 
 BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries
@@ -303,6 +295,9 @@ def scenario_to_dict(s: Scenario) -> dict:
     out = {}
     for name, value in vars(s).items():
         if name == "bounds":
+            # a scenario built in code can hold any value here, and zip drops a third entry
+            if not isinstance(value, (list, tuple)) or len(value) != len(BOUND_KEYS):
+                raise ValueError(f"key 'bounds' must be a pair (u_min, u_max), got {value!r}")
             value = dict(zip(BOUND_KEYS, value))
         elif is_dataclass(value):
             # the unset optional rls.theta0 is left out; tuples dump as lists

@@ -228,10 +228,16 @@ def suite_r_consistency(seed: int = 0) -> SuiteResult:
     base = replace(Scenario(), bounds=(-1e6, 1e6))
     # the exact law never reads the weights, so one baseline serves every R
     trace_e, sum_e = sim.run_exact_baseline(base)
+    if sum_e.aborted:
+        return SuiteResult(
+            name="r-consistency",
+            passed=False,
+            lines=[f"exact baseline aborted: {sum_e.abort_reason}"],
+        )
     diffs = []
     for r_weight in (1.0, 0.1, 0.01, 0.001):
         trace_p, sum_p = sim.run(replace(base, weights=qp.Weights(T=100.0, R=r_weight)))
-        if sum_p.aborted or sum_e.aborted:
+        if sum_p.aborted:
             return SuiteResult(
                 name="r-consistency",
                 passed=False,

@@ -74,7 +74,9 @@ def test_simulate_rejects_bad_config(tmp_path):
     bad.write_text("gains: {c1: -1.0}\n", encoding="utf-8")
     code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 def test_simulate_unknown_key_exit_code(tmp_path):
@@ -235,6 +237,24 @@ def test_verify_unknown_suite(capsys):
         assert "invalid choice" in err and repr(name) in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+@pytest.mark.parametrize(
+    "command", ["simulate", "verify", *(f"verify --suite {name}" for name in verify.SUITES)]
+)
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    # a negative seed once crashed five suites with a traceback and passed one silently
+    argv = [*command.split(), "--seed", seed]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_error_inside_a_suite_is_not_a_usage_error(monkeypatch):
     # only a bad flag or input file is exit 2; a suite's own fault must surface
     def broken(seed):
@@ -294,6 +314,21 @@ def test_sweep_grid_and_failures_recorded(tmp_path, quick_config):
     assert rows[0]["status"].startswith("ValueError")
     assert rows[2]["status"] == "ok"
     assert [r["gains.c1"] for r in rows] == ["-1", "-1", "2", "2"]
+
+
+def test_sweep_reports_an_effort_dominated_cell_in_its_summary(tmp_path):
+    # T <= R builds silently; the share R/Q given up, settling and abort tell the story
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--grid", "weights.T=1", "--grid", "weights.R=0.01,0.5,1",
+                 "--out", str(out)]) == 0
+    with open(out / "sweep.csv", encoding="utf-8") as fh:
+        small, half, even = csv.DictReader(fh)
+    shares = [float(r["mean_condition_residual"]) for r in (small, half, even)]
+    assert shares == sorted(shares) and len(set(shares)) == 3
+    assert small["status"] == half["status"] == "ok"
+    assert float(small["settling_time"]) < 5.0
+    assert half["settling_time"] == "nan"  # never settled
+    assert even["status"].startswith("aborted: |x1| >= pi/2 at t=")
 
 
 def test_sweep_bad_grid_spec(tmp_path, quick_config, capsys):

@@ -408,13 +408,18 @@ def test_finiteness_rule_names_the_key_after_the_range_checks(path, value, messa
          "key 'rls.warmup_steps' must be an integer, got 10.0"),
         # a file's empty section reads as None, but a section built in code is never None
         (lambda: Scenario(gains=None), "section 'gains' must be a mapping, got None"),
+        (lambda: Scenario(bounds=(-1.0, 0.0, 5.0)),
+         "key 'bounds' must be a pair (u_min, u_max), got (-1.0, 0.0, 5.0)"),
+        (lambda: Scenario(bounds=(1.0,)), "key 'bounds' must be a pair (u_min, u_max), got (1.0,)"),
+        (lambda: Scenario(bounds=1.0), "key 'bounds' must be a pair (u_min, u_max), got 1.0"),
     ],
     ids=["theta0-of-2", "warmup-true", "seed-1.5", "adaptive-0", "seed-str", "seed-3.0",
-         "disturbance.seed-3.0", "warmup-10.0", "gains-none"],
+         "disturbance.seed-3.0", "warmup-10.0", "gains-none", "bounds-of-3", "bounds-of-1",
+         "bounds-scalar"],
 )
 def test_shape_and_type_rule_built_in_code(build, message):
-    # each of these once constructed; seed 3.0 and disturbance.seed 3.0 then
-    # made sim.run raise TypeError
+    # each of these once constructed or failed without naming its key; seed
+    # 3.0, disturbance.seed 3.0 and three bounds then made sim.run raise
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         build()
 

@@ -9,31 +9,34 @@ import pytest
 from prnn_abc.backstepping import ErrorCoords, Gains
 from prnn_abc.config import Scenario
 from prnn_abc.qp import QpCoefficients, Weights, assemble, cost, gradient, solve_oracle
+from prnn_abc.sim import run
 
 B_AT_0 = 1.4634146341463414
 BOUNDS = (-30.0, 30.0)
 
 
-def test_weights_warn_when_effort_dominates():
-    # the scenario warns, after its value rule, so a refused value never does
-    with pytest.warns(UserWarning, match=r"^tracking weight T should exceed effort weight R; "
-                                         r"got T=1.0, R=1.0$"):
-        Scenario(weights=Weights(T=1.0, R=1.0))
-    with pytest.warns(UserWarning):
-        Scenario(weights=Weights(T=0.5, R=1.0))
+def test_effort_dominated_weights_build_silently():
+    # building a scenario only checks values; T <= R is reported by the run
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        Scenario(weights=Weights(T=1.0, R=1.0))
+        Scenario(weights=Weights(T=0.5, R=1.0))
         Weights(T=0.5, R=1.0)
         with pytest.raises(ValueError, match=r"^key 'weights.R' must be finite, got inf$"):
             Scenario(weights=Weights(R=math.inf))
 
 
-def test_weights_warning_names_a_source_file():
-    # one frame up from the dataclass-generated __init__ would be "<string>"
-    with pytest.warns(UserWarning, match="T should exceed") as record:
-        Scenario(weights=Weights(T=1.0, R=1.0))
-    assert record[0].filename != "<string>"
-    assert record[0].filename.endswith("config.py")
+def test_effort_dominated_weights_show_in_the_summary():
+    # R/Q is the share of the stabilizing force the effort weight gives up:
+    # at T=1, R=0.5 the run never settles, and at T=1, R=1 it aborts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, half = run(Scenario(weights=Weights(T=1.0, R=0.5)))
+        _, even = run(Scenario(weights=Weights(T=1.0, R=1.0)))
+    assert not half.aborted and math.isnan(half.settling_time)
+    assert half.mean_condition_residual == pytest.approx(0.190, abs=5e-4)
+    assert even.aborted and even.abort_reason.startswith("|x1| >= pi/2 at t=4.060000")
+    assert even.mean_condition_residual == pytest.approx(0.388, abs=5e-4)
 
 
 def test_weights_validation():

@@ -54,8 +54,6 @@ PLAUSIBLE = {
 TOP = {"adaptive": st.booleans(), "seed": st.integers(0, 2**40), "settle_tol": number(1e-4, 0.1)}
 PATHS = [(s, k) for s, keys in PLAUSIBLE.items() for k in keys] + [(None, k) for k in TOP]
 
-WEIGHTS_WARNING = "tracking weight T should exceed effort weight R"
-
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 WRONG_TYPE = st.one_of(
     st.booleans(), st.none(), st.text(max_size=3), st.just([1.0]), st.just({"x": 1})
@@ -112,21 +110,13 @@ def trees(draw):
 # a reference phase that overflows within the run once raised from math.sin
 @example({"reference": {"kind": "sinusoid", "amplitude": 0.0, "frequency": 1.0e307}})
 def test_every_tree_is_config_error_abort_or_clean_run(tree):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    # building a scenario never warns, whatever its weights: T <= R shows in the summary
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
             scenario = parse_scenario(tree)
         except ConfigError:
-            scenario = None
-    messages = [str(w.message) for w in caught]
-    if scenario is None:
-        # the scenario warns only once every check has passed
-        assert messages == []
-        return
-    # the weights warn once, exactly when the tracking weight does not exceed the effort weight
-    weights = scenario.weights
-    warned = [f"{WEIGHTS_WARNING}; got T={weights.T}, R={weights.R}"]
-    assert messages == (warned if weights.T <= weights.R else [])
+            return
     records, summary = run(scenario)
     if summary.aborted:
         assert "t=" in summary.abort_reason

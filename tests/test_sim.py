@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import prnn_abc.plant as plant_module
-from prnn_abc import sim
+from prnn_abc import sim, verify
 from prnn_abc.backstepping import Gains, ReferenceSignal
 from prnn_abc.config import BOUND_KEYS, Scenario, Timing, apply_grid_point
 from prnn_abc.plant import DisturbanceSpec, PlantState
@@ -273,6 +273,21 @@ def test_exact_baseline_does_not_read_the_effort_weight():
     ]
     assert len(columns[0]) == 500
     assert columns[0] == columns[1] == [record.u for record in run_exact_baseline(base)[0]]
+
+
+def test_r_consistency_names_an_aborted_baseline(monkeypatch):
+    # the one baseline is checked before any network run, not as "aborted at R=1.0"
+    def tipped(scenario):
+        return run_exact_baseline(replace(scenario, initial=PlantState(1.6, 0.0)))
+
+    def never(scenario):
+        raise AssertionError("network run after an aborted baseline")
+
+    monkeypatch.setattr(sim, "run_exact_baseline", tipped)
+    monkeypatch.setattr(sim, "run", never)
+    result = verify.suite_r_consistency()
+    assert not result.passed
+    assert result.lines == ["exact baseline aborted: |x1| >= pi/2 at t=0.000000 (x1=1.6000 rad)"]
 
 
 def test_exact_baseline_aborts_when_input_gain_vanishes():
@@ -557,7 +572,7 @@ def test_sweep_over_initial_state_and_timing_axes():
 )
 def test_grid_cell_axes_apply_together(cell, field, want):
     # applied one axis at a time, the first order checked a half-applied cell:
-    # bounds (-30, -40) or (40, 30), or weights T=100, R=200, which warns
+    # bounds (-30, -40) or (40, 30); weights T=100, R=200 builds silently either way
     for coords in (cell, dict(reversed(cell.items()))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
