@@ -82,6 +82,8 @@ class RlsOptions:
     theta0: tuple[float, float, float] | None = None  # explicit initial estimate
 
     def __post_init__(self):
+        if isinstance(self.theta0, list):  # stored as the tuple a file gives
+            object.__setattr__(self, "theta0", tuple(self.theta0))
         if not self.theta0_perturbation >= 0:
             raise ValueError(
                 f"rls.theta0_perturbation must be >= 0, got {self.theta0_perturbation!r}"
@@ -115,6 +117,8 @@ class Scenario:
     settle_tol: float = 0.01
 
     def __post_init__(self):
+        if isinstance(self.bounds, list):  # stored as the tuple a file gives
+            object.__setattr__(self, "bounds", tuple(self.bounds))
         # the file's value rule; the sections ran their own range checks when
         # they were built, and the scenario's follow
         _checked("", scenario_to_dict(self), _LIKE, exact=True)

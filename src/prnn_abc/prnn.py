@@ -16,11 +16,15 @@ vartheta; where it clamps u - phi to a bound b, phi decays toward Q*b + P at
 rate vartheta/Q.  The pieces meet at the breakpoints (Q*b + P)/(1 - Q) (none
 when Q == 1).  A scalar ODE with a continuous right-hand side is monotone, so
 phi moves toward the equilibrium phi* and crosses at most two breakpoints on
-the way.  relax() therefore integrates the network exactly: on each piece it
-either reaches the next breakpoint after ln((phi - target)/(phi_b - target))/r
-or ends at target + (phi - target)*exp(-r*t).  A larger vartheta speeds
-convergence; the reading vartheta * dphi/dt = PR(u - phi) - u is the same
-flow with vartheta replaced by 1/vartheta.
+the way.  One walk over the pieces therefore integrates the network exactly:
+on each piece it either reaches the next breakpoint after
+ln((phi - target)/(phi_b - target))/r or ends at target + (phi - target)*exp(-r*t).
+The residual |PR(u - phi) - u| (|phi| on the interior piece, |phi - target|/Q
+on a clamped one) decays as exp(-r*t) too and is continuous, so the walk
+stops after a duration (relax) or when the residual first reaches a
+tolerance (relax_until).  A larger vartheta speeds convergence; the reading
+vartheta * dphi/dt = PR(u - phi) - u is the same flow with vartheta
+replaced by 1/vartheta.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .qp import QpCoefficients, solve_oracle
-
-MAX_CHUNKS = 2_000_000  # relax_until gives up after this many chunks
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -54,13 +56,13 @@ class PrnnConfig:
 
 class RelaxResult(NamedTuple):
     """Network state phi after integration, its output u, its equilibrium
-    residual, and the number of affine pieces (relax) or chunks (relax_until)
-    integrated."""
+    residual, the affine pieces it crossed (1 to 3) and the time integrated."""
 
     phi: float
     u: float
     residual: float
     substeps: int
+    elapsed: float
 
 
 def project(u: float, bounds: tuple[float, float]) -> float:
@@ -98,71 +100,67 @@ def _affine_piece(phi: float, q: QpCoefficients, vartheta: float) -> tuple[float
     return q.Q * clamped + q.P, vartheta / q.Q
 
 
-def _flow(phi: float, q: QpCoefficients, vartheta: float, duration: float) -> tuple[float, int]:
-    """Exact network state after `duration` from phi, and the pieces it used."""
+def _flow(
+    phi: float, q: QpCoefficients, vartheta: float, duration: float, tol: float
+) -> RelaxResult:
+    """Walk the affine pieces from phi for `duration`, or, if tol > 0, until the
+    residual first reaches tol when that is sooner."""
     phi_star = equilibrium_phi(q)
-    breakpoints = []
+    ends = []
     if q.Q != 1.0:
         lo, hi = sorted((phi, phi_star))
         for bound in (q.u_min, q.u_max):
             phi_b = (q.Q * bound + q.P) / (1.0 - q.Q)
             if lo < phi_b < hi:
-                breakpoints.append(phi_b)
-        breakpoints.sort(key=lambda b: abs(b - phi))
-    left = duration
-    for pieces, phi_b in enumerate(breakpoints, start=1):
+                ends.append(phi_b)
+        ends.sort(key=lambda b: abs(b - phi))
+    ends.append(phi_star)  # the last piece reaches phi_star only as t -> inf
+    left, spent = duration, 0.0
+    for pieces, end in enumerate(ends, start=1):
         # the piece is identified at its midpoint, clear of both ends
-        target, rate = _affine_piece(0.5 * (phi + phi_b), q, vartheta)
-        ratio = (phi - target) / (phi_b - target)
-        # ratio <= 0 only when rounding puts the target before the breakpoint
+        target, rate = _affine_piece(0.5 * (phi + end), q, vartheta)
+        stop = left
+        if tol > 0.0:  # the residual on this piece is |phi - target| * rate / vartheta
+            gap = abs(phi - target) * rate / vartheta
+            stop = min(left, math.log(gap / tol) / rate if gap > tol else 0.0)
+        # ratio <= 0 on the last piece, or when rounding puts the target before the breakpoint
+        ratio = (phi - target) / (end - target) if pieces < len(ends) else 0.0
         reach = math.log(ratio) / rate if ratio > 0.0 else math.inf
-        if reach >= left:
-            return target + (phi - target) * math.exp(-rate * left), pieces
-        phi, left = phi_b, left - reach
-    target, rate = _affine_piece(0.5 * (phi + phi_star), q, vartheta)
-    return target + (phi - target) * math.exp(-rate * left), len(breakpoints) + 1
-
-
-def _result(phi: float, q: QpCoefficients, substeps: int) -> RelaxResult:
+        if reach >= stop:
+            break
+        phi, left, spent = end, left - reach, spent + reach
+    start, extra = phi, 0.0
+    phi = target + (start - target) * math.exp(-rate * stop)
+    while stop < left and phi != target and (residual := equilibrium_residual(phi, q)) > tol:
+        # rounding left the computed residual just above tol: integrate on,
+        # at least doubling the extension so that the loop ends
+        extra = max(2.0 * extra, math.log(residual / tol) / rate)
+        stop = min(left, stop + extra)
+        phi = target + (start - target) * math.exp(-rate * stop)
     u = control_output(phi, q)
     if not (math.isfinite(phi) and math.isfinite(u)):
         raise IntegrationDivergedError(f"network state became non-finite (phi={phi}, u={u})")
-    return RelaxResult(phi, u, equilibrium_residual(phi, q), substeps)
+    return RelaxResult(phi, u, equilibrium_residual(phi, q), pieces, spent + stop)
 
 
 def relax(phi: float, q: QpCoefficients, cfg: PrnnConfig, duration: float) -> RelaxResult:
     """Integrate the network exactly over `duration` from phi with frozen P, Q.
 
     Raises IntegrationDivergedError if the resulting state is not finite,
-    which non-finite coefficients can cause.
+    which non-finite coefficients can cause; so does relax_until.
     """
-    phi, pieces = _flow(phi, q, cfg.vartheta, duration)
-    return _result(phi, q, pieces)
+    return _flow(phi, q, cfg.vartheta, duration, 0.0)
 
 
-def relax_until(
-    phi: float, q: QpCoefficients, cfg: PrnnConfig, tol: float, step: float
-) -> RelaxResult:
-    """Integrate from phi with frozen coefficients until the residual reaches tol.
+def relax_until(phi: float, q: QpCoefficients, cfg: PrnnConfig, tol: float) -> RelaxResult:
+    """Integrate from phi with frozen P, Q until the residual first reaches tol.
 
-    Verification-oriented variant of relax(): advances the exact flow in
-    chunks of `step` seconds until |PR(u - phi) - u| <= tol or MAX_CHUNKS
-    chunks are spent; substeps counts the chunks taken.
+    The stop is extended just enough that the computed residual is <= tol too.
     """
-    result = _result(phi, q, 0)
-    for taken in range(1, MAX_CHUNKS + 1):
-        if result.residual <= tol:
-            return result
-        phi, _ = _flow(result.phi, q, cfg.vartheta, step)
-        result = _result(phi, q, taken)
-    return result
+    return _flow(phi, q, cfg.vartheta, math.inf, tol)
 
 
 def stable_inner_dt(q: QpCoefficients, vartheta: float, safety: float = 0.5) -> float:
-    """Sub-step keeping RK4 stable for both regimes of the piecewise dynamics.
-
-    The interior regime decays at rate vartheta, the clamped regime at
-    vartheta/Q; the stiffer of the two sets the step bound.  relax() no
-    longer sub-steps; this stays as a named hook of the benchmark tracer.
-    """
+    """RK4 sub-step stable on both pieces (rates vartheta and vartheta/Q); relax()
+    does not sub-step, and this stays as a named hook of the benchmark tracer."""
     return safety * min(1.0, q.Q) / vartheta

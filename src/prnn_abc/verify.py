@@ -65,16 +65,13 @@ def suite_prnn_oracle(seed: int = 0) -> SuiteResult:
     against clamp(-P/Q) within 1e-6.
     """
     rng = np.random.default_rng(seed)
-    vartheta = 50.0
-    cfg = PrnnConfig(vartheta=vartheta)
+    cfg = PrnnConfig(vartheta=50.0)
     worst = 0.0
     unconverged = 0
     for _ in range(ORACLE_QPS):
         coeffs = _random_qp(rng)
         phi0 = rng.uniform(-50.0, 50.0)
-        # chunks of one time constant of the slower regime
-        step = max(1.0, coeffs.Q) / vartheta
-        result = prnn.relax_until(phi0, coeffs, cfg, tol=1e-9, step=step)
+        result = prnn.relax_until(phi0, coeffs, cfg, tol=1e-9)
         if result.residual > 1e-9:
             unconverged += 1
             continue
@@ -105,8 +102,7 @@ def suite_prnn_decay(seed: int = 0) -> SuiteResult:
             logs.append(math.log(abs(phi)))
         slope = np.polyfit(ts, logs, 1)[0]
         worst_rate_err = max(worst_rate_err, abs(-slope - vartheta) / vartheta)
-        reached = prnn.relax_until(1.0, coeffs, cfg, tol=1e-6, step=h)
-        times.append(reached.substeps * h)
+        times.append(prnn.relax_until(1.0, coeffs, cfg, tol=1e-6).elapsed)
     monotone = all(t2 < t1 for t1, t2 in zip(times, times[1:]))
     passed = worst_rate_err < 1e-3 and monotone
     return SuiteResult(

@@ -424,6 +424,23 @@ def test_shape_and_type_rule_built_in_code(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "listed, tupled",
+    [
+        (Scenario(bounds=[-1.0, 1.0]), Scenario(bounds=(-1.0, 1.0))),
+        (Scenario(rls=RlsOptions(theta0=[1.0, 2.0, 3.0])),
+         Scenario(rls=RlsOptions(theta0=(1.0, 2.0, 3.0)))),
+    ],
+    ids=["bounds", "rls.theta0"],
+)
+def test_list_built_in_code_is_stored_as_a_tuple(listed, tupled):
+    # a list once made the frozen scenario unhashable, unequal to its tuple
+    # twin, and not equal to itself after a round trip through a file
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    assert parse_scenario(yaml.safe_load(dumps_scenario(listed))) == listed
+
+
 def test_infinite_bounds_leave_the_box_open():
     sc = parse_scenario({"bounds": {"u_min": float("-inf"), "u_max": float("inf")}})
     assert sc.bounds == (float("-inf"), float("inf"))

@@ -9,6 +9,7 @@ from prnn_abc.prnn import (
     PrnnConfig,
     control_output,
     equilibrium_phi,
+    equilibrium_residual,
     project,
     relax,
     relax_until,
@@ -93,14 +94,14 @@ def test_phi_derivative_zero_at_saturated_equilibrium():
 
 def test_relax_reaches_interior_optimum():
     q = QpCoefficients(P=-1.0, Q=2.0, u_min=-1.0, u_max=1.0)
-    out = relax_until(5.0, q, PrnnConfig(), tol=1e-9, step=0.02)
+    out = relax_until(5.0, q, PrnnConfig(), tol=1e-9)
     assert out.residual <= 1e-9
     assert out.u == pytest.approx(0.5, abs=1e-8)
 
 
 def test_relax_reaches_clamped_optimum():
     q = QpCoefficients(P=3.0, Q=2.0, u_min=-1.0, u_max=1.0)
-    out = relax_until(-4.0, q, PrnnConfig(), tol=1e-9, step=0.02)
+    out = relax_until(-4.0, q, PrnnConfig(), tol=1e-9)
     assert out.u == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -110,9 +111,9 @@ def test_relax_matches_oracle_randomized():
     cfg = PrnnConfig(vartheta=vartheta)
     for _ in range(200):
         q = _random_qp(rng)
-        step = max(1.0, q.Q) / vartheta
-        out = relax_until(rng.uniform(-50, 50), q, cfg, tol=1e-9, step=step)
+        out = relax_until(rng.uniform(-50, 50), q, cfg, tol=1e-9)
         assert out.residual <= 1e-9
+        assert 1 <= out.substeps <= 3
         assert abs(out.u - solve_oracle(q)) < 1e-6
 
 
@@ -174,15 +175,64 @@ def test_interior_exponential_law():
 
 def test_doubling_rate_halves_convergence_time():
     q = QpCoefficients(P=3.0, Q=2.0, u_min=-1.0, u_max=1.0)
-    times = []
-    for vartheta in (5.0, 10.0, 20.0, 40.0):
-        h = 0.1 / vartheta
-        cfg = PrnnConfig(vartheta=vartheta)
-        out = relax_until(10.0, q, cfg, tol=1e-6, step=h)
-        times.append(out.substeps * h)
-    coarsest_step = 0.1 / 5.0
+    times = [relax_until(10.0, q, PrnnConfig(vartheta=v), tol=1e-6).elapsed
+             for v in (5.0, 10.0, 20.0, 40.0)]
     for t1, t2 in zip(times, times[1:]):
-        assert t2 <= 0.5 * t1 + coarsest_step
+        assert t2 == pytest.approx(0.5 * t1, rel=1e-12)
+
+
+CLAMPED = QpCoefficients(P=3.0, Q=2.0, u_min=-1.0, u_max=1.0)  # u* = -1, phi* = 1
+CENTRED = QpCoefficients(P=0.0, Q=2.0, u_min=-1.0, u_max=1.0)  # u* = 0, breakpoints -2 and 2
+
+
+# Each expected time is a sum over pieces of ln(r_start/r_end)/rate, with the
+# residual |phi| on the interior piece and |phi - target|/Q on a clamped one.
+# The tolerances keep the computed residual's rounding (an ulp of the target
+# over Q*tol) far below 1e-12 of the time.
+@pytest.mark.parametrize(
+    "q, phi0, tol, pieces, expected",
+    [
+        # clamped only: the residual |phi - 1|/2 falls from 4.5 at rate vartheta/2
+        (CLAMPED, 10.0, 1e-4, 1, lambda v: 2.0 * math.log(4.5e4) / v),
+        # interior only, Q == 1: the residual |phi| falls from 3 at rate vartheta
+        (WIDE, 3.0, 1e-9, 1, lambda v: math.log(3e9) / v),
+        # interior only, Q != 1: phi0 lies between the breakpoints
+        (CENTRED, 1.5, 1e-9, 1, lambda v: math.log(1.5e9) / v),
+        # clamped at -1 (target -2) from 5 down to 2 at the breakpoint, then interior
+        (CENTRED, 8.0, 1e-9, 2, lambda v: (2.0 * math.log(5.0 / 2.0) + math.log(2e9)) / v),
+        # the same flow reaches tol = 3 on its first piece, before the breakpoint
+        (CENTRED, 8.0, 3.0, 1, lambda v: 2.0 * math.log(5.0 / 3.0) / v),
+        # clamped at +1 (target 5) to -5, interior to -1, clamped at -1 (target 1)
+        (CLAMPED, -8.0, 1e-4, 3,
+         lambda v: (2.0 * math.log(6.5 / 5.0) + math.log(5.0) + 2.0 * math.log(1e4)) / v),
+    ],
+)
+@pytest.mark.parametrize("vartheta", [0.5, 50.0, 1e4])
+def test_relax_until_time_is_the_sum_of_piece_times(q, phi0, tol, pieces, expected, vartheta):
+    # on every piece the residual decays as exp(-rate t): rate vartheta on the
+    # interior piece and vartheta/Q on a clamped one
+    out = relax_until(phi0, q, PrnnConfig(vartheta=vartheta), tol)
+    assert out.substeps == pieces
+    assert out.residual <= tol
+    assert out.elapsed == pytest.approx(expected(vartheta), rel=1e-12)
+
+
+def test_relax_until_stops_at_once_when_already_converged():
+    q = QpCoefficients(P=3.0, Q=2.0, u_min=-1.0, u_max=1.0)
+    out = relax_until(1.0 + 1e-12, q, PrnnConfig(), tol=1e-9)
+    assert (out.phi, out.substeps, out.elapsed) == (1.0 + 1e-12, 1, 0.0)
+
+
+def test_relax_until_ends_when_tol_is_below_the_rounding_floor():
+    # at phi* = 0.27 the computed residual is 9.7e-17, not 0, so no tol below
+    # that is ever met; the walk still ends, at the rest point
+    q = QpCoefficients(P=0.3, Q=0.3, u_min=-0.1, u_max=0.1)
+    floor = equilibrium_residual(equilibrium_phi(q), q)
+    assert floor > 0.0
+    for tol in (0.0, 1e-300, floor / 2.0):
+        out = relax_until(3.0, q, PrnnConfig(), tol)
+        assert out.phi == equilibrium_phi(q)
+        assert out.residual == floor > tol
 
 
 def test_network_lyapunov_decrease():
