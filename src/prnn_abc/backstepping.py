@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .plant import PlantState
+from .plant import PlantState, check_fields
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class Gains:
     c2: float = 2.0
 
     def __post_init__(self):
+        check_fields(self, "gains")
         for name in ("c1", "c2"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"gains.{name} must be > 0, got {getattr(self, name)!r}")
@@ -50,6 +51,7 @@ class ReferenceSignal:
     start: float = 0.0
 
     def __post_init__(self):
+        check_fields(self, "reference")
         if self.kind not in _REFERENCE_KINDS:
             raise ValueError(
                 f"reference.kind must be one of {', '.join(_REFERENCE_KINDS)}, got {self.kind!r}"

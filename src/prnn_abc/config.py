@@ -1,14 +1,15 @@
-"""The scenario schema and its value rule, strict YAML files, and sweep cells.
+"""The scenario schema, strict YAML files, and sweep cells.
 
 A file is a key-value tree that mirrors `Scenario`: one mapping per section
 field, keyed by the section's field names, and the scalar fields at the top
 level, all in declaration order.  Every key is optional and defaults to
 `Scenario()`; unknown keys are rejected with their full path so typos cannot
-silently fall back to defaults.  One value rule, `_checked`, walks a tree
-against the default one, `_LIKE`, and names the key path of a bad value: a
-file or a sweep cell (a partial tree over a base scenario) goes through it
-section by section in `_build`, and a `Scenario` built in code goes through
-it whole.  A key given twice in one mapping is rejected with its line.
+silently fall back to defaults.  Each value is checked once, where its
+section is built: a section's __post_init__ types its fields like their
+defaults (`plant.check_fields`) before its range checks, and `Scenario`'s
+does so for its own keys, so code, files and sweep cells meet one rule that
+names the key path; `_build` only maps a tree onto `replace` calls.  A key
+given twice in one mapping is rejected with its line.
 Serialization round-trips exactly: parse(dump(parse(x))) yields an identical
 Scenario.  Files are read and written through libyaml when PyYAML has it;
 the constructor and representer are PyYAML's safe ones either way, so the
@@ -19,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from types import SimpleNamespace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import yaml
 
 from .backstepping import Gains, ReferenceSignal
-from .plant import DisturbanceSpec, PendulumParams, PlantState
+from .plant import DisturbanceSpec, PendulumParams, PlantState, check_fields, checked_value
 from .prnn import PrnnConfig
 from .qp import Weights
 
@@ -39,9 +39,7 @@ class Timing:
     duration: float = 5.0
 
     def __post_init__(self):
-        # the file's value rule first, so round() never meets an infinite ratio
-        for key, value in vars(self).items():
-            checked_value(f"timing.{key}", value, 0.0)
+        check_fields(self, "timing")  # first: the checks below take finite numbers
         if not 0 < self.plant_dt <= self.control_period:
             raise ValueError(
                 f"timing.plant_dt must be in (0, control_period], got {self.plant_dt!r}"
@@ -82,8 +80,12 @@ class RlsOptions:
     theta0: tuple[float, float, float] | None = None  # explicit initial estimate
 
     def __post_init__(self):
-        if isinstance(self.theta0, list):  # stored as the tuple a file gives
-            object.__setattr__(self, "theta0", tuple(self.theta0))
+        check_fields(self, "rls")
+        if (theta0 := self.theta0) is not None:
+            if not isinstance(theta0, (list, tuple)) or len(theta0) != 3:
+                raise ValueError("key 'rls.theta0' must be a list of 3 numbers")
+            theta0 = tuple(checked_value(f"rls.theta0[{i}]", v, 0.0) for i, v in enumerate(theta0))
+            object.__setattr__(self, "theta0", theta0)
         if not self.theta0_perturbation >= 0:
             raise ValueError(
                 f"rls.theta0_perturbation must be >= 0, got {self.theta0_perturbation!r}"
@@ -102,29 +104,35 @@ class Scenario:
     their file key names, so parse and dump derive from them.
     """
 
-    params: PendulumParams = field(default_factory=PendulumParams)
-    initial: PlantState = field(default_factory=lambda: PlantState(0.1, 0.0))
-    reference: ReferenceSignal = field(default_factory=ReferenceSignal)
-    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
-    gains: Gains = field(default_factory=Gains)
-    weights: Weights = field(default_factory=Weights)
+    params: PendulumParams = PendulumParams()
+    initial: PlantState = PlantState(0.1, 0.0)
+    reference: ReferenceSignal = ReferenceSignal()
+    disturbance: DisturbanceSpec = DisturbanceSpec()
+    gains: Gains = Gains()
+    weights: Weights = Weights()
     bounds: tuple[float, float] = (-30.0, 30.0)
-    timing: Timing = field(default_factory=Timing)
-    prnn: PrnnConfig = field(default_factory=PrnnConfig)
-    rls: RlsOptions = field(default_factory=RlsOptions)
+    timing: Timing = Timing()
+    prnn: PrnnConfig = PrnnConfig()
+    rls: RlsOptions = RlsOptions()
     adaptive: bool = False
     seed: int = 0
     settle_tol: float = 0.01
 
     def __post_init__(self):
-        if isinstance(self.bounds, list):  # stored as the tuple a file gives
-            object.__setattr__(self, "bounds", tuple(self.bounds))
-        # the file's value rule; the sections ran their own range checks when
-        # they were built, and the scenario's follow
-        _checked("", scenario_to_dict(self), _LIKE, exact=True)
-        if not self.bounds[0] < self.bounds[1]:
+        # the sections checked their values when built; these keys are the scenario's
+        for name, cls in _SECTIONS.items():
+            if not isinstance(section := getattr(self, name), cls):
+                raise ValueError(f"section '{name}' must be a mapping, got {section!r}")
+        x1, x2 = (checked_value(f"initial.{k}", v, 0.0) for k, v in vars(self.initial).items())
+        object.__setattr__(self, "initial", PlantState(x1, x2))
+        if not isinstance(self.bounds, (list, tuple)) or len(self.bounds) != 2:
+            raise ValueError(f"key 'bounds' must be a pair (u_min, u_max), got {self.bounds!r}")
+        lo, hi = (checked_value(f"bounds.{k}", v, 0.0) for k, v in zip(BOUND_KEYS, self.bounds))
+        object.__setattr__(self, "bounds", (lo, hi))
+        check_fields(self, "")
+        if not lo < hi:
             raise ValueError("bounds.u_min must be < bounds.u_max")
-        if not 0 < self.settle_tol < math.inf:
+        if not self.settle_tol > 0:
             raise ValueError(f"settle_tol must be finite and > 0, got {self.settle_tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -140,40 +148,8 @@ class Scenario:
                 )
 
 
+_SECTIONS = {f.name: type(f.default) for f in fields(Scenario) if is_dataclass(f.default)}
 BOUND_KEYS = ("u_min", "u_max")  # file keys of the two `bounds` entries
-_OPEN_KEYS = ("bounds.u_min", "bounds.u_max")  # +-inf here leaves that side of the box open
-
-
-def checked_value(path: str, value, like):
-    """`value` for the scenario key at `path`, typed like that key's default `like`.
-
-    The leaf of the value rule (`_checked`) for files, sweep grids and
-    scenarios built in code; a ValueError names the key path.  Numbers must
-    be finite and not NaN, except that the bounds may be +-inf.  Integer keys
-    take integral numbers, so a grid's 3.0 is 3.
-    """
-    if isinstance(like, (bool, str)):
-        if not isinstance(value, type(like)):
-            want = "true/false" if isinstance(like, bool) else "a string"
-            raise ValueError(f"key '{path}' must be {want}, got {value!r}")
-        return value
-    want = "an integer" if isinstance(like, int) else "a number"
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(like, int) and isinstance(value, float) and not value.is_integer())
-    ):
-        raise ValueError(f"key '{path}' must be {want}, got {value!r}")
-    if isinstance(like, int):
-        return int(value)
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"key '{path}' must be finite, got {value!r}") from None
-    if math.isnan(number) or (math.isinf(number) and path not in _OPEN_KEYS):
-        want = "a number" if path in _OPEN_KEYS else "finite"
-        raise ValueError(f"key '{path}' must be {want}, got {number!r}")
-    return number
 
 
 class ConfigError(ValueError):
@@ -205,57 +181,30 @@ class _StrictLoader(_SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
-def _checked(path: str, value, like, exact: bool = False):
-    """`value` for the scenario key at `path` under the value rule, typed like `like`.
+def _build(path: str, tree, current):
+    """`current` (a Scenario, a section or the bounds) with the partial tree `tree` applied.
 
-    `like` is the node of `_LIKE` at `path`.  A mapping takes its known keys,
-    each checked in declaration order, and no other; `rls.theta0` takes None
-    or a list of 3 numbers; a leaf goes through `checked_value`.  `exact` is
-    for a scenario built in code: it refuses an integral float at an integer
-    key, which a file's 3.0 is converted from, and a None section, which a
-    file's empty section reads as.  A ValueError names the key path.
+    Keys the tree leaves out, and an empty (None) section, keep `current`'s
+    values; values are typed like their `Scenario()` default, not like `current`.
     """
-    if isinstance(like, dict):
-        if value is None and not exact:
-            return {}
-        if not isinstance(value, dict):
-            raise ValueError(f"section '{path}' must be a mapping, got {value!r}")
-        prefix = f"{path}." if path else ""
-        out = {k: _checked(prefix + k, value[k], v, exact) for k, v in like.items() if k in value}
-        if len(out) < len(value):
-            stray = sorted(f"{prefix}{k}" for k in value if k not in like)
-            raise ValueError(f"unknown key(s): {', '.join(stray)}")
-        return out
-    if isinstance(like, list):
-        if value is None:
-            return None
-        if not isinstance(value, (list, tuple)) or len(value) != len(like):
-            raise ValueError(f"key '{path}' must be a list of {len(like)} numbers")
-        return tuple(_checked(f"{path}[{i}]", v, like[i], exact) for i, v in enumerate(value))
-    checked = checked_value(path, value, like)
-    if exact and type(checked) is int and isinstance(value, float):
-        raise ValueError(f"key '{path}' must be an integer, got {value!r}")
-    return checked
-
-
-def _build(tree: dict, base: Scenario) -> Scenario:
-    """`base` with the partial scenario tree `tree` applied, one section at a time.
-
-    Sections the tree leaves out stay as in `base`.  Values are typed like their
-    `Scenario()` default, not like `base`; a bad one raises a ValueError naming its key.
-    """
-    root = dict(tree)
-    changes = {}
-    for name, like in _LIKE.items():
-        if name in root:
-            value, current = _checked(name, root.pop(name), like), getattr(base, name)
-            if name == "bounds":
-                value = tuple(value.get(k, b) for k, b in zip(BOUND_KEYS, current))
-            elif isinstance(like, dict):
-                value = replace(current, **value)
-            changes[name] = value
-    _checked("", root, _LIKE)  # only unknown keys are left
-    return replace(base, **changes)
+    if tree is None:
+        return current
+    if not isinstance(tree, dict):
+        raise ValueError(f"section '{path}' must be a mapping, got {tree!r}")
+    prefix = f"{path}." if path else ""
+    keys = BOUND_KEYS if path == "bounds" else [f.name for f in fields(current)]
+    known = {k: tree[k] for k in keys if k in tree}
+    if path == "bounds":
+        built = tuple(known.get(k, b) for k, b in zip(keys, current))
+    else:
+        built = replace(current, **{
+            k: _build(k, v, getattr(current, k)) if not path and k in (*_SECTIONS, "bounds") else v
+            for k, v in known.items()
+        })
+    if len(known) < len(tree):
+        stray = sorted(f"{prefix}{k}" for k in tree if k not in known)
+        raise ValueError(f"unknown key(s): {', '.join(stray)}")
+    return built
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -263,7 +212,7 @@ def parse_scenario(data: dict) -> Scenario:
     if data is not None and not isinstance(data, dict):
         raise ConfigError(f"configuration root must be a mapping, got {type(data).__name__}")
     try:
-        return _build(data or {}, Scenario())
+        return _build("", data, Scenario())
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -291,7 +240,7 @@ def apply_grid_point(base: Scenario, coords: dict[str, float]) -> Scenario:
         for section in sections:
             node = node.setdefault(section, {})
         node[key] = value
-    return _build(tree, base)
+    return _build("", tree, base)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -299,9 +248,6 @@ def scenario_to_dict(s: Scenario) -> dict:
     out = {}
     for name, value in vars(s).items():
         if name == "bounds":
-            # a scenario built in code can hold any value here, and zip drops a third entry
-            if not isinstance(value, (list, tuple)) or len(value) != len(BOUND_KEYS):
-                raise ValueError(f"key 'bounds' must be a pair (u_min, u_max), got {value!r}")
             value = dict(zip(BOUND_KEYS, value))
         elif is_dataclass(value):
             # the unset optional rls.theta0 is left out; tuples dump as lists
@@ -312,14 +258,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             }
         out[name] = value
     return out
-
-
-# the tree of `Scenario()`, with rls.theta0 as three numbers; built from the
-# field defaults, since every Scenario, the default too, is checked against it
-_LIKE = scenario_to_dict(SimpleNamespace(**{
-    f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(Scenario)
-}))
-_LIKE["rls"]["theta0"] = [0.0, 0.0, 0.0]
 
 
 def load_scenario(path) -> Scenario:

@@ -17,8 +17,9 @@ that expression against `drift_term` and `gain_term` to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,57 @@ import numpy as np
 
 class IntegrationBlowupError(RuntimeError):
     """A plant step produced a non-finite state."""
+
+
+_OPEN_KEYS = ("bounds.u_min", "bounds.u_max")  # +-inf here leaves that side of the box open
+
+
+def checked_value(path: str, value, like):
+    """`value` for the scenario key at `path`, typed like that key's default `like`.
+
+    A ValueError names the key path.  Numbers must be finite, but the bounds
+    may be +-inf; an integer key takes 3.0 as 3, and a float key takes 1 as 1.0.
+    """
+    if isinstance(like, (bool, str)):
+        if not isinstance(value, type(like)):
+            want = "true/false" if isinstance(like, bool) else "a string"
+            raise ValueError(f"key '{path}' must be {want}, got {value!r}")
+        return value
+    want = "an integer" if isinstance(like, int) else "a number"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(like, int) and isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValueError(f"key '{path}' must be {want}, got {value!r}")
+    if isinstance(like, int):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"key '{path}' must be finite, got {value!r}") from None
+    if math.isnan(number) or (math.isinf(number) and path not in _OPEN_KEYS):
+        want = "a number" if path in _OPEN_KEYS else "finite"
+        raise ValueError(f"key '{path}' must be {want}, got {number!r}")
+    return number
+
+
+@functools.cache
+def _scalar_fields(cls) -> tuple:
+    """The fields of dataclass `cls` whose default is a flag, number or string."""
+    return tuple(f for f in fields(cls) if isinstance(f.default, (int, float, str)))
+
+
+def check_fields(section, key: str) -> None:
+    """Type each scalar field of the frozen dataclass `section` like its default, in place.
+
+    Every scenario section calls it first in its __post_init__, so its range
+    checks meet only numbers; `key` is the section's file key ("" at the top).
+    """
+    prefix = f"{key}." if key else ""
+    for f in _scalar_fields(type(section)):
+        value = checked_value(prefix + f.name, getattr(section, f.name), f.default)
+        object.__setattr__(section, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -42,6 +94,7 @@ class PendulumParams:
     l: float = 0.5
 
     def __post_init__(self):
+        check_fields(self, "params")
         for name in ("g", "m_c", "m", "l"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"params.{name} must be > 0, got {getattr(self, name)!r}")
@@ -72,12 +125,13 @@ class DisturbanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, "disturbance")
         if self.kind not in _DISTURBANCE_KINDS:
             raise ValueError(
                 f"disturbance.kind must be one of {', '.join(_DISTURBANCE_KINDS)}, "
                 f"got {self.kind!r}"
             )
-        if not 0 <= self.amplitude < math.inf:
+        if not self.amplitude >= 0:
             raise ValueError(
                 f"disturbance.amplitude must be finite and >= 0, got {self.amplitude!r}"
             )

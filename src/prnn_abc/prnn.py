@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .plant import check_fields
 from .qp import QpCoefficients, solve_oracle
 
 
@@ -50,7 +51,8 @@ class PrnnConfig:
     vartheta: float = 50.0
 
     def __post_init__(self):
-        if not 0 < self.vartheta < math.inf:
+        check_fields(self, "prnn")
+        if not self.vartheta > 0:
             raise ValueError(f"prnn.vartheta must be finite and > 0, got {self.vartheta!r}")
 
 

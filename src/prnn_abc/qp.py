@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .backstepping import ErrorCoords, Gains, stabilizing_target
+from .plant import check_fields
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,7 @@ class Weights:
     R: float = 0.01
 
     def __post_init__(self):
+        check_fields(self, "weights")
         for name in ("T", "R"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"weights.{name} must be > 0, got {getattr(self, name)!r}")

@@ -288,6 +288,15 @@ def test_verify_scenario_adds_monitor_to_all_criteria(quick_config, capsys):
     assert out.rstrip().endswith("11/11 suites passed")
 
 
+def test_verify_scenario_that_aborts_fails_its_monitor(tmp_path, capsys):
+    path = tmp_path / "tipped.yaml"
+    path.write_text("initial: {x1: 1.6}\n", encoding="utf-8")
+    assert main(["verify", "--suite", "lyapunov", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] lyapunov-monitor" in out
+    assert "run aborted: |x1| >= pi/2 at t=0.000000 (x1=1.6000 rad)" in out
+
+
 def _sweep_rows(tmp_path, config, *grid):
     out = tmp_path / "sweep"
     argv = ["sweep", "--config", str(config), "--out", str(out)]

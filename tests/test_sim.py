@@ -479,6 +479,24 @@ def test_sweep_grid_order_and_failures():
     assert cells[2].summary is not None and cells[2].error == ""
 
 
+def test_sweep_records_a_cell_whose_run_raises(monkeypatch):
+    # an error inside one cell's run is that cell's result; the others still run
+    base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.1))
+    real_run = sim.run
+
+    def run_or_boom(scenario):
+        if scenario.prnn.vartheta == 50.0:
+            raise RuntimeError("boom")
+        return real_run(scenario)
+
+    monkeypatch.setattr(sim, "run", run_or_boom)
+    cells = sweep(base, {"prnn.vartheta": [25.0, 50.0, 100.0]}, max_workers=1)
+    assert [(c.summary is None, c.error) for c in cells] == [
+        (False, ""), (True, "RuntimeError: boom"), (False, "")
+    ]
+    assert cells[2].summary == real_run(apply_grid_point(base, {"prnn.vartheta": 100.0}))[1]
+
+
 def test_sweep_parallel_matches_serial():
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.5))
     grid = {"prnn.vartheta": [25.0, 50.0], "weights.R": [0.1, 0.01]}
