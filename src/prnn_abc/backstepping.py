@@ -13,24 +13,18 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .plant import PlantState, check_fields
+from .plant import PlantState, check_fields, ranged
 
 
 @dataclass(frozen=True)
 class Gains:
     """Virtual-control gains; both must be strictly positive."""
 
-    c1: float = 2.0
-    c2: float = 2.0
+    c1: float = ranged(2.0, "> 0")
+    c2: float = ranged(2.0, "> 0")
 
     def __post_init__(self):
         check_fields(self, "gains")
-        for name in ("c1", "c2"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"gains.{name} must be > 0, got {getattr(self, name)!r}")
-
-
-_REFERENCE_KINDS = ("constant", "sinusoid", "smoothstep")
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,7 @@ class ReferenceSignal:
                 seconds, then held.
     """
 
-    kind: str = "constant"
+    kind: str = ranged("constant", ("constant", "sinusoid", "smoothstep"))
     setpoint: float = 0.0
     amplitude: float = 0.0
     frequency: float = 0.0
@@ -52,10 +46,6 @@ class ReferenceSignal:
 
     def __post_init__(self):
         check_fields(self, "reference")
-        if self.kind not in _REFERENCE_KINDS:
-            raise ValueError(
-                f"reference.kind must be one of {', '.join(_REFERENCE_KINDS)}, got {self.kind!r}"
-            )
         if self.kind == "sinusoid" and not self.frequency > 0:
             raise ValueError(f"reference.frequency must be > 0, got {self.frequency!r}")
         # the second derivative's scale, as `reference_at` forms it; an

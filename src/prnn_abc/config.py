@@ -6,10 +6,11 @@ level, all in declaration order.  Every key is optional and defaults to
 `Scenario()`; unknown keys are rejected with their full path so typos cannot
 silently fall back to defaults.  Each value is checked once, where its
 section is built: a section's __post_init__ types its fields like their
-defaults (`plant.check_fields`) before its range checks, and `Scenario`'s
-does so for its own keys, so code, files and sweep cells meet one rule that
-names the key path; `_build` only maps a tree onto `replace` calls.  A key
-given twice in one mapping is rejected with its line.
+defaults and applies the sign or choice rule declared with a default
+(`plant.check_fields`, `plant.ranged`) before its remaining checks, and
+`Scenario`'s does so for its own keys, so code, files and sweep cells meet
+one rule that names the key path; `_build` only maps a tree onto `replace`
+calls.  A key given twice in one mapping is rejected with its line.
 Serialization round-trips exactly: parse(dump(parse(x))) yields an identical
 Scenario.  Files are read and written through libyaml when PyYAML has it;
 the constructor and representer are PyYAML's safe ones either way, so the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import yaml
 
 from .backstepping import Gains, ReferenceSignal
-from .plant import DisturbanceSpec, PendulumParams, PlantState, check_fields, checked_value
+from .plant import DisturbanceSpec, PendulumParams, PlantState, check_fields, checked_value, ranged
 from .prnn import PrnnConfig
 from .qp import Weights
 
@@ -36,7 +37,7 @@ class Timing:
 
     plant_dt: float = 0.001
     control_period: float = 0.01
-    duration: float = 5.0
+    duration: float = ranged(5.0, "> 0")
 
     def __post_init__(self):
         check_fields(self, "timing")  # first: the checks below take finite numbers
@@ -44,8 +45,11 @@ class Timing:
             raise ValueError(
                 f"timing.plant_dt must be in (0, control_period], got {self.plant_dt!r}"
             )
-        if not self.duration > 0:
-            raise ValueError(f"timing.duration must be > 0, got {self.duration!r}")
+        # a ratio past the float range would make round() overflow
+        for num, den in (("control_period", "plant_dt"), ("duration", "control_period")):
+            a, b = getattr(self, num), getattr(self, den)
+            if not math.isfinite(a / b):
+                raise ValueError(f"timing.{num} / {den} must be finite, got {a!r} / {b!r}")
         ratio = self.control_period / self.plant_dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("timing.control_period must be an integer multiple of plant_dt")
@@ -73,9 +77,9 @@ class Timing:
 class RlsOptions:
     """Estimator initialization and gating knobs."""
 
-    theta0_perturbation: float = 0.3
-    m0_scale: float = 100.0
-    warmup_steps: int = 50
+    theta0_perturbation: float = ranged(0.3, ">= 0")
+    m0_scale: float = ranged(100.0, "> 0")
+    warmup_steps: int = ranged(50, ">= 0")
     excitation_gate: float = 1e-8
     theta0: tuple[float, float, float] | None = None  # explicit initial estimate
 
@@ -86,14 +90,6 @@ class RlsOptions:
                 raise ValueError("key 'rls.theta0' must be a list of 3 numbers")
             theta0 = tuple(checked_value(f"rls.theta0[{i}]", v, 0.0) for i, v in enumerate(theta0))
             object.__setattr__(self, "theta0", theta0)
-        if not self.theta0_perturbation >= 0:
-            raise ValueError(
-                f"rls.theta0_perturbation must be >= 0, got {self.theta0_perturbation!r}"
-            )
-        if not self.m0_scale > 0:
-            raise ValueError(f"rls.m0_scale must be > 0, got {self.m0_scale!r}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"rls.warmup_steps must be >= 0, got {self.warmup_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,8 @@ class Scenario:
     prnn: PrnnConfig = PrnnConfig()
     rls: RlsOptions = RlsOptions()
     adaptive: bool = False
-    seed: int = 0
-    settle_tol: float = 0.01
+    seed: int = ranged(0, ">= 0")
+    settle_tol: float = ranged(0.01, "> 0")
 
     def __post_init__(self):
         # the sections checked their values when built; these keys are the scenario's
@@ -132,10 +128,6 @@ class Scenario:
         check_fields(self, "")
         if not lo < hi:
             raise ValueError("bounds.u_min must be < bounds.u_max")
-        if not self.settle_tol > 0:
-            raise ValueError(f"settle_tol must be finite and > 0, got {self.settle_tol!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # a sinusoid's phase 2*pi*f*t must stay finite up to the last time it
         # is read, below twice the run's length, or math.sin has no value there
         horizon = 2.0 * self.timing.control_steps * self.timing.control_period

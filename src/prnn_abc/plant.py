@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -62,22 +62,45 @@ def checked_value(path: str, value, like):
     return number
 
 
+def ranged(default, rule):
+    """A scenario field with `default` whose value must obey `rule`.
+
+    `rule` is "> 0", ">= 0", or a tuple of the allowed strings of a kind key;
+    `check_fields` applies it.
+    """
+    return field(default=default, metadata={"rule": rule})
+
+
 @functools.cache
 def _scalar_fields(cls) -> tuple:
-    """The fields of dataclass `cls` whose default is a flag, number or string."""
-    return tuple(f for f in fields(cls) if isinstance(f.default, (int, float, str)))
+    """(name, default) of each field of `cls` whose default is a flag, number or
+    string, and (name, rule) of each field declared with `ranged`."""
+    fs = fields(cls)
+    scalars = tuple((f.name, f.default) for f in fs if isinstance(f.default, (int, float, str)))
+    return scalars, tuple((f.name, f.metadata["rule"]) for f in fs if "rule" in f.metadata)
 
 
 def check_fields(section, key: str) -> None:
     """Type each scalar field of the frozen dataclass `section` like its default, in place.
 
-    Every scenario section calls it first in its __post_init__, so its range
-    checks meet only numbers; `key` is the section's file key ("" at the top).
+    Then each field declared with `ranged` must obey its rule, e.g.
+    `gains.c1 must be > 0, got -1.0` or `reference.kind must be one of
+    constant, sinusoid, smoothstep, got 'x'`.  Every scenario section calls it
+    first in its __post_init__, so its remaining checks meet only numbers that
+    obey their rules; `key` is the section's file key ("" at the top).
     """
     prefix = f"{key}." if key else ""
-    for f in _scalar_fields(type(section)):
-        value = checked_value(prefix + f.name, getattr(section, f.name), f.default)
-        object.__setattr__(section, f.name, value)
+    scalars, rules = _scalar_fields(type(section))
+    for name, default in scalars:
+        value = checked_value(prefix + name, getattr(section, name), default)
+        object.__setattr__(section, name, value)
+    for name, rule in rules:
+        value = getattr(section, name)
+        if isinstance(rule, tuple):
+            if value not in rule:
+                raise ValueError(f"{prefix}{name} must be one of {', '.join(rule)}, got {value!r}")
+        elif not (value > 0 if rule == "> 0" else value >= 0):
+            raise ValueError(f"{prefix}{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,16 +111,13 @@ class PendulumParams:
     m: pendulum mass (kg), l: length to the pendulum center of mass (m).
     """
 
-    g: float = 9.8
-    m_c: float = 1.0
-    m: float = 0.1
-    l: float = 0.5
+    g: float = ranged(9.8, "> 0")
+    m_c: float = ranged(1.0, "> 0")
+    m: float = ranged(0.1, "> 0")
+    l: float = ranged(0.5, "> 0")
 
     def __post_init__(self):
         check_fields(self, "params")
-        for name in ("g", "m_c", "m", "l"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"params.{name} must be > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +130,6 @@ class PlantState:
         return abs(self.x1) < math.pi / 2
 
 
-_DISTURBANCE_KINDS = ("none", "constant", "sinusoid", "bounded-uniform-random")
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
@@ -119,22 +138,13 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 class DisturbanceSpec:
     """Acceleration disturbance d, in rad/s^2 equivalent units."""
 
-    kind: str = "none"
-    amplitude: float = 0.0
+    kind: str = ranged("none", ("none", "constant", "sinusoid", "bounded-uniform-random"))
+    amplitude: float = ranged(0.0, ">= 0")
     frequency: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self, "disturbance")
-        if self.kind not in _DISTURBANCE_KINDS:
-            raise ValueError(
-                f"disturbance.kind must be one of {', '.join(_DISTURBANCE_KINDS)}, "
-                f"got {self.kind!r}"
-            )
-        if not self.amplitude >= 0:
-            raise ValueError(
-                f"disturbance.amplitude must be finite and >= 0, got {self.amplitude!r}"
-            )
         if self.kind == "sinusoid" and not self.frequency > 0:
             raise ValueError(f"disturbance.frequency must be > 0, got {self.frequency!r}")
         # a finite frequency whose angular frequency overflows would make
@@ -221,7 +231,7 @@ def stage_disturbance(spec: DisturbanceSpec, t, dt: float, steps: int) -> np.nda
 
 
 def _denominator(params: PendulumParams, x1: float) -> float:
-    # bounded away from 0 for any physical parameters with m < 3(m_c+m)/4
+    # at least l/3 for every positive parameter set, since m/(m_c+m) < 1
     m_sum = params.m_c + params.m
     return params.l * (4.0 / 3.0 - params.m * math.cos(x1) ** 2 / m_sum)
 

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .plant import check_fields
+from .plant import check_fields, ranged
 from .qp import QpCoefficients, solve_oracle
 
 
@@ -48,12 +48,10 @@ class PrnnConfig:
     vartheta: convergence-rate constant (1/s), finite and > 0.
     """
 
-    vartheta: float = 50.0
+    vartheta: float = ranged(50.0, "> 0")
 
     def __post_init__(self):
         check_fields(self, "prnn")
-        if not self.vartheta > 0:
-            raise ValueError(f"prnn.vartheta must be finite and > 0, got {self.vartheta!r}")
 
 
 class RelaxResult(NamedTuple):

@@ -17,21 +17,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .backstepping import ErrorCoords, Gains, stabilizing_target
-from .plant import check_fields
+from .plant import check_fields, ranged
 
 
 @dataclass(frozen=True)
 class Weights:
     """Performance-index weights: T penalizes tracking error, R control effort."""
 
-    T: float = 100.0
-    R: float = 0.01
+    T: float = ranged(100.0, "> 0")
+    R: float = ranged(0.01, "> 0")
 
     def __post_init__(self):
         check_fields(self, "weights")
-        for name in ("T", "R"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"weights.{name} must be > 0, got {getattr(self, name)!r}")
 
 
 class _QpFields(NamedTuple):

@@ -167,6 +167,10 @@ SECTION_CHECKS = [
     ("timing.duration", {"timing": {"duration": -1.0}}),
     ("timing.duration", {"timing": {"duration": 0.004}}),
     ("timing.control_period", {"timing": {"control_period": 0.0105}}),
+    # ratios that overflow once made round() raise OverflowError
+    ("timing.duration", {"timing": {"duration": 1e308}}),
+    ("timing.control_period", {"timing": {"control_period": 1e308}}),
+    ("timing.control_period", {"timing": {"plant_dt": 1e-320}}),
     ("prnn.vartheta", {"prnn": {"vartheta": 0.0}}),
     ("rls.theta0_perturbation", {"rls": {"theta0_perturbation": -0.1}}),
     ("rls.m0_scale", {"rls": {"m0_scale": 0.0}}),
@@ -407,6 +411,11 @@ def test_every_leaf_is_a_float_or_integer_key_or_a_flag_or_a_kind():
         ("reference.setpoint", math.nan, "key 'reference.setpoint' must be finite, got nan"),
         ("rls.excitation_gate", -math.inf, "key 'rls.excitation_gate' must be finite, got -inf"),
         ("rls.theta0[2]", math.nan, "key 'rls.theta0[2]' must be finite, got nan"),
+        # a finite value then meets its key's declared rule
+        ("prnn.vartheta", 0.0, "prnn.vartheta must be > 0, got 0.0"),
+        ("settle_tol", -1.0, "settle_tol must be > 0, got -1.0"),
+        ("disturbance.amplitude", -0.5, "disturbance.amplitude must be >= 0, got -0.5"),
+        ("gains.c1", -0.0, "gains.c1 must be > 0, got -0.0"),
     ],
 )
 def test_finiteness_rule_names_the_key_after_the_range_checks(path, value, message):
@@ -430,6 +439,11 @@ def test_finiteness_rule_names_the_key_after_the_range_checks(path, value, messa
         (lambda: Scenario(seed=3.0).seed, 3),
         (lambda: DisturbanceSpec(kind="bounded-uniform-random", seed=3.0).seed, 3),
         (lambda: Scenario(rls=RlsOptions(warmup_steps=10.0)).rls.warmup_steps, 10),
+        # zero is allowed at each ">= 0" key
+        (lambda: RlsOptions(theta0_perturbation=0).theta0_perturbation, 0.0),
+        (lambda: RlsOptions(warmup_steps=0.0).warmup_steps, 0),
+        (lambda: DisturbanceSpec(kind="constant", amplitude=0).amplitude, 0.0),
+        (lambda: Scenario(seed=0.0).seed, 0),
         # a file's empty section reads as None, but a section built in code is never None
         (lambda: Scenario(gains=None), "section 'gains' must be a mapping, got None"),
         (lambda: Scenario(bounds=(-1.0, 0.0, 5.0)),
@@ -438,7 +452,8 @@ def test_finiteness_rule_names_the_key_after_the_range_checks(path, value, messa
         (lambda: Scenario(bounds=1.0), "key 'bounds' must be a pair (u_min, u_max), got 1.0"),
     ],
     ids=["theta0-of-2", "warmup-true", "seed-1.5", "adaptive-0", "seed-str", "seed-3.0",
-         "disturbance.seed-3.0", "warmup-10.0", "gains-none", "bounds-of-3", "bounds-of-1",
+         "disturbance.seed-3.0", "warmup-10.0", "perturbation-0", "warmup-0.0",
+         "amplitude-0", "seed-0.0", "gains-none", "bounds-of-3", "bounds-of-1",
          "bounds-scalar"],
 )
 def test_shape_and_type_rule_built_in_code(build, expected):

@@ -97,6 +97,14 @@ def test_gain_positive_and_even_inside_half_plane():
         b = gain_term(PARAMS, PlantState(x1, 0.0))
         assert b > 0.0
         assert gain_term(PARAMS, PlantState(-x1, 0.0)) == b
+    # m/(m_c+m) < 1, so the denominator l*(4/3 - m*cos(x1)**2/(m_c+m)) stays
+    # above l/3 even at x1 = 0, where it is smallest, and when m dwarfs m_c:
+    # PendulumParams need only check that each value is positive
+    m_c, ratio, l = 10.0 ** rng.uniform([-3, 1, -3], [3, 6, 3], (100, 3)).T
+    for m_c, m, l in zip(m_c, ratio * m_c, l):
+        params = PendulumParams(m_c=m_c, m=m, l=l)
+        assert plant_module._denominator(params, 0.0) > l / 3
+        assert gain_term(params, PlantState(0.0, 0.0)) > 0.0
 
 
 def test_derivatives_equilibrium_and_gain():

@@ -477,6 +477,12 @@ def test_sweep_grid_order_and_failures():
     assert cells[0].summary is None and "gains.c1 must be > 0" in cells[0].error
     assert cells[1].summary is None
     assert cells[2].summary is not None and cells[2].error == ""
+    # a duration whose ratio to the control period overflows is a config error too
+    (cell,) = sweep(base, {"timing.duration": [1e308]})
+    assert cell.summary is None
+    assert cell.error == (
+        "ValueError: timing.duration / control_period must be finite, got 1e+308 / 0.01"
+    )
 
 
 def test_sweep_records_a_cell_whose_run_raises(monkeypatch):
