@@ -108,11 +108,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scenario = None if args.scenario is None else load_scenario(args.scenario)
     names = None if args.suite is None else [args.suite]
     results = verify.run_suites(names, seed=args.seed, scenario=scenario)
-    for result in results:
-        print(result.line())
+    for name, result in results.items():
+        print(result.line(name))
         for line in result.lines:
             print(f"    {line}")
-    failed = [r for r in results if not r.passed]
+    failed = [r for r in results.values() if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} suites passed")
     return EXIT_OK if not failed else EXIT_RUN_FAILED
 

@@ -8,6 +8,12 @@ recursive estimator, step-halving and a 30-digit solution of the plant ODE
 monitors for the closed loop.  The CLI `verify` command and the
 acceptance test module both run these functions, so there is one source of
 truth for pass/fail.
+
+A suite's name is its key in `SUITES`, and nowhere else: a `SuiteResult`
+carries no name, and `run_suites` returns each result under its key.  A
+suite whose closed-loop run aborts is a FAIL whose line names the reason,
+`run aborted: <reason>` (`exact baseline aborted: <reason>` for the exact
+law); it never raises.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .config import Scenario, Timing
 from .plant import DisturbanceSpec, PendulumParams, PlantState
 from .prnn import PrnnConfig
 from .qp import QpCoefficients
-# regressor is not called here, but the benchmark's traced pass wraps verify.regressor
+# neither is called here, but the benchmark's traced pass wraps verify.regressor
+# and verify.true_theta
 from .rls import regressor, true_theta  # noqa: F401
 from .sim import lyapunov_monitor
 
@@ -38,24 +45,33 @@ RK4_EXACT_ENDPOINT = (0.3687747266278067, 1.3946608955106017)
 
 @dataclass
 class SuiteResult:
-    name: str
     passed: bool
     details: dict[str, float] = field(default_factory=dict)
     lines: list[str] = field(default_factory=list)
 
-    def line(self) -> str:
+    def line(self, name: str) -> str:
         status = "PASS" if self.passed else "FAIL"
         extras = ", ".join(f"{k}={v:.3e}" for k, v in self.details.items())
-        return f"[{status}] {self.name}" + (f" ({extras})" if extras else "")
+        return f"[{status}] {name}" + (f" ({extras})" if extras else "")
+
+
+def _aborted(summary: sim.RunSummary, run: str = "run") -> SuiteResult:
+    """The FAIL of a suite whose closed-loop run aborted, naming the reason."""
+    return SuiteResult(passed=False, lines=[f"{run} aborted: {summary.abort_reason}"])
+
+
+def _random_box(rng: np.random.Generator, half_width: float) -> tuple[float, float]:
+    """A random interval in [-half_width, half_width], at least 1e-3 wide."""
+    lo, hi = np.sort(rng.uniform(-half_width, half_width, 2))
+    if hi - lo < 1e-3:
+        hi = lo + 1e-3
+    return float(lo), float(hi)
 
 
 def _random_qp(rng: np.random.Generator) -> QpCoefficients:
     q = 10.0 ** rng.uniform(-2.0, 2.0)
     p = rng.uniform(-100.0, 100.0)
-    lo, hi = np.sort(rng.uniform(-10.0, 10.0, 2))
-    if hi - lo < 1e-3:
-        hi = lo + 1e-3
-    return QpCoefficients(P=p, Q=q, u_min=float(lo), u_max=float(hi))
+    return QpCoefficients(p, q, *_random_box(rng, 10.0))
 
 
 def suite_prnn_oracle(seed: int = 0) -> SuiteResult:
@@ -78,7 +94,6 @@ def suite_prnn_oracle(seed: int = 0) -> SuiteResult:
         worst = max(worst, abs(result.u - qp.solve_oracle(coeffs)))
     passed = unconverged == 0 and worst < 1e-6
     return SuiteResult(
-        name="prnn-oracle",
         passed=passed,
         details={"worst_u_error": worst, "unconverged": float(unconverged)},
         lines=[f"{ORACLE_QPS} random QPs, worst |u - u*| = {worst:.3e} (tolerance 1e-6)"],
@@ -106,7 +121,6 @@ def suite_prnn_decay(seed: int = 0) -> SuiteResult:
     monotone = all(t2 < t1 for t1, t2 in zip(times, times[1:]))
     passed = worst_rate_err < 1e-3 and monotone
     return SuiteResult(
-        name="prnn-decay",
         passed=passed,
         details={"worst_rate_error": worst_rate_err, "monotone": float(monotone)},
         lines=[
@@ -138,19 +152,16 @@ def suite_lyapunov(seed: int = 0) -> SuiteResult:
             )
     tol = 10.0 * timing.control_period + 1e-6
     worst = 0.0
-    aborted = 0
     for scenario_k in cases:
         trace, summary = sim.run_exact_baseline(scenario_k)
         if summary.aborted:
-            aborted += 1
-            continue
+            return _aborted(summary, "exact baseline")
         dt = scenario_k.timing.control_period
         for k in range(len(trace) - 1):
             fd = (trace[k + 1].V2 - trace[k].V2) / dt
             worst = max(worst, abs(fd - trace[k].V2_dot_ideal))
-    passed = aborted == 0 and worst <= tol
+    passed = worst <= tol
     return SuiteResult(
-        name="lyapunov",
         passed=passed,
         details={"worst_identity_error": worst, "tolerance": tol},
         lines=[
@@ -177,7 +188,6 @@ def monitor_scenario(scenario: Scenario) -> SuiteResult:
     if summary.aborted:
         lines.append(f"run aborted: {summary.abort_reason}")
     return SuiteResult(
-        name="lyapunov-monitor",
         passed=passed,
         details={"violations": float(len(violations))},
         lines=lines,
@@ -191,20 +201,15 @@ def suite_stabilization(seed: int = 0) -> SuiteResult:
     # the reference is the constant 0, so S1 is x1 bit for bit
     scenario = Scenario(settle_tol=0.01)
     trace, summary = sim.run(scenario)
+    if summary.aborted:
+        return _aborted(summary)
     u = np.array([r.u for r in trace])
     lo, hi = scenario.bounds
-    settled = summary.settling_time
+    settled = summary.settling_time  # nan if never, and nan <= 5.0 is False
     within_bounds = bool(np.all((u >= lo) & (u <= hi)))
     transient, violations = _late_violations(trace, scenario)
-    passed = (
-        not summary.aborted
-        and not math.isnan(settled)
-        and settled <= 5.0
-        and within_bounds
-        and not violations
-    )
+    passed = settled <= 5.0 and within_bounds and not violations
     return SuiteResult(
-        name="stabilization",
         passed=passed,
         details={
             "settling_time": settled,
@@ -212,7 +217,8 @@ def suite_stabilization(seed: int = 0) -> SuiteResult:
             "monitor_violations": float(len(violations)),
         },
         lines=[
-            f"|x1| < 0.01 rad from t = {settled:.2f}s; max |u| = {np.max(np.abs(u)):.3f} N; "
+            f"|x1| < {scenario.settle_tol:g} rad from t = {settled:.2f}s; "
+            f"max |u| = {np.max(np.abs(u)):.3f} N; "
             f"{len(violations)} V2 violations after {transient:.2f}s"
         ],
     )
@@ -225,20 +231,12 @@ def suite_r_consistency(seed: int = 0) -> SuiteResult:
     # the exact law never reads the weights, so one baseline serves every R
     trace_e, sum_e = sim.run_exact_baseline(base)
     if sum_e.aborted:
-        return SuiteResult(
-            name="r-consistency",
-            passed=False,
-            lines=[f"exact baseline aborted: {sum_e.abort_reason}"],
-        )
+        return _aborted(sum_e, "exact baseline")
     diffs = []
     for r_weight in (1.0, 0.1, 0.01, 0.001):
         trace_p, sum_p = sim.run(replace(base, weights=qp.Weights(T=100.0, R=r_weight)))
         if sum_p.aborted:
-            return SuiteResult(
-                name="r-consistency",
-                passed=False,
-                lines=[f"run aborted at R={r_weight}"],
-            )
+            return _aborted(sum_p, f"run at R={r_weight}")
         n = min(len(trace_p), len(trace_e))
         diffs.append(
             max(abs(trace_p[k].u - trace_e[k].u) for k in range(n))
@@ -246,7 +244,6 @@ def suite_r_consistency(seed: int = 0) -> SuiteResult:
     monotone = all(b < a for a, b in zip(diffs, diffs[1:]))
     passed = monotone and diffs[-1] < 1e-2
     return SuiteResult(
-        name="r-consistency",
         passed=passed,
         details={"final_max_diff": diffs[-1], "monotone": float(monotone)},
         lines=[
@@ -288,17 +285,17 @@ def suite_rls_batch(seed: int = 0) -> SuiteResult:
     and agree with a direct batch solve of the same samples."""
     scenario = replace(sim.sinusoid_scenario(), adaptive=True, seed=seed)
     trace, summary = sim.run(scenario)
-    truth = true_theta(scenario.params)
+    if summary.aborted:
+        return _aborted(summary)
+    rel_err = summary.final_theta_error
     theta_final = np.array([trace[-1].theta1, trace[-1].theta2, trace[-1].theta3])
-    rel_err = float(np.linalg.norm(theta_final - truth) / np.linalg.norm(truth))
     pis, ys = rls_samples_from_trace(trace, scenario)
     theta_batch = batch_least_squares(
         pis, ys, sim.initial_theta(scenario), scenario.rls.m0_scale
     )
     batch_gap = float(np.linalg.norm(theta_final - theta_batch))
-    passed = not summary.aborted and rel_err < 0.01 and batch_gap < 1e-6
+    passed = rel_err < 0.01 and batch_gap < 1e-6
     return SuiteResult(
-        name="rls-batch",
         passed=passed,
         details={"relative_theta_error": rel_err, "batch_gap": batch_gap},
         lines=[
@@ -319,18 +316,13 @@ def suite_saturation(seed: int = 0) -> SuiteResult:
         settle_tol=0.02,
     )
     trace, summary = sim.run(scenario)
+    if summary.aborted:
+        return _aborted(summary)
     u = np.array([r.u for r in trace])
     lo, hi = scenario.bounds
     within = bool(np.all((u >= lo) & (u <= hi)))
-    passed = (
-        not summary.aborted
-        and summary.saturation_fraction > 0.0
-        and within
-        and not math.isnan(summary.settling_time)
-        and summary.settling_time <= 10.0
-    )
+    passed = summary.saturation_fraction > 0.0 and within and summary.settling_time <= 10.0
     return SuiteResult(
-        name="saturation",
         passed=passed,
         details={
             "saturation_fraction": summary.saturation_fraction,
@@ -338,7 +330,7 @@ def suite_saturation(seed: int = 0) -> SuiteResult:
         },
         lines=[
             f"saturated {summary.saturation_fraction:.1%} of steps, "
-            f"|x1| < 0.02 rad from t = {summary.settling_time:.2f}s, "
+            f"|x1| < {scenario.settle_tol:g} rad from t = {summary.settling_time:.2f}s, "
             f"bounds respected: {within}"
         ],
     )
@@ -357,7 +349,6 @@ def suite_gradient(seed: int = 0) -> SuiteResult:
         worst = max(worst, abs(fd - qp.gradient(coeffs, u)) / scale)
     passed = worst <= 1e-8
     return SuiteResult(
-        name="gradient",
         passed=passed,
         details={"worst_relative_error": worst},
         lines=[f"{GRADIENT_POINTS} random points, worst relative FD error = {worst:.3e} "
@@ -387,7 +378,6 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
     ref_gap = math.hypot(ends[-1][0] - exact[0], ends[-1][1] - exact[1])
     passed = ratios_ok and ref_gap < 1e-10
     return SuiteResult(
-        name="rk4-order",
         passed=passed,
         details={"halving_ratio_min": min(ratios), "reference_gap": ref_gap},
         lines=[
@@ -401,12 +391,9 @@ def suite_projection(seed: int = 0) -> SuiteResult:
     """prnn.project is the clamp, non-expansive and obtuse-angled."""
     rng = np.random.default_rng(seed)
     n = PROJECTION_PAIRS
-    lo, hi = np.sort(rng.uniform(-5.0, 5.0, 2))
-    if hi - lo < 1e-3:
-        hi = lo + 1e-3
+    lo, hi = box = _random_box(rng, 5.0)
     a = rng.uniform(-20.0, 20.0, n)
     b = rng.uniform(-20.0, 20.0, n)
-    box = (float(lo), float(hi))
     pa, pb = (np.array([prnn.project(v, box) for v in x.tolist()]) for x in (a, b))
     is_clamp = np.array_equal(pa, np.clip(a, lo, hi)) and np.array_equal(pb, np.clip(b, lo, hi))
     worst_expansion = float(np.max(np.abs(pa - pb) - np.abs(a - b)))
@@ -415,7 +402,6 @@ def suite_projection(seed: int = 0) -> SuiteResult:
     worst_angle = float(np.min(inner))
     passed = is_clamp and worst_expansion <= 0.0 and worst_angle >= -1e-12
     return SuiteResult(
-        name="projection",
         passed=passed,
         details={"worst_expansion": worst_expansion, "worst_obtuse_angle": worst_angle},
         lines=[
@@ -443,14 +429,17 @@ def run_suites(
     names: list[str] | None = None,
     seed: int = 0,
     scenario: Scenario | None = None,
-) -> list[SuiteResult]:
-    """Run the named suites (all by default), then monitor_scenario(scenario) if given."""
+) -> dict[str, SuiteResult]:
+    """Run the named suites (all by default), then monitor_scenario(scenario) if given.
+
+    Returns {name: result} in run order; the monitor's result is "lyapunov-monitor".
+    """
     selected = names if names else list(SUITES)
-    results = []
+    results = {}
     for name in selected:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-        results.append(SUITES[name](seed=seed))
+        results[name] = SUITES[name](seed=seed)
     if scenario is not None:
-        results.append(monitor_scenario(scenario))
+        results["lyapunov-monitor"] = monitor_scenario(scenario)
     return results

@@ -18,8 +18,8 @@ from prnn_abc.plant import PendulumParams, PlantState
 
 def _check(result):
     status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.name}: " + "; ".join(result.lines))
-    assert result.passed, f"{result.name}: " + "; ".join(result.lines)
+    print(f"{status}: " + "; ".join(result.lines))
+    assert result.passed, "; ".join(result.lines)
 
 
 def test_criterion_1_network_matches_qp_oracle():

@@ -1,5 +1,5 @@
 """The README's library example runs, its `prnn_abc.` names exist, its scenario block is
-the default scenario, and its sweeps build."""
+the default scenario, its suites paragraph names every verify suite, and its sweeps build."""
 
 import importlib
 import re
@@ -8,6 +8,7 @@ from pathlib import Path
 import yaml
 
 import prnn_abc
+from prnn_abc import verify
 from prnn_abc.config import Scenario, apply_grid_point, parse_scenario, scenario_to_dict
 from prnn_abc.sim import default_scenario
 
@@ -54,6 +55,11 @@ def test_scenario_file_block_is_the_default_scenario():
     tree = yaml.safe_load(text)
     assert parse_scenario(tree) == Scenario()
     assert list(tree) == list(scenario_to_dict(Scenario()))
+
+
+def test_suites_paragraph_names_every_suite_in_order():
+    paragraph = re.search(r"\nVerification suites: (.*?)\n\n", README, re.S).group(1)
+    assert re.findall(r"`([a-z0-9-]+)`", paragraph) == list(verify.SUITES)
 
 
 def _builds(name, value):

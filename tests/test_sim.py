@@ -11,6 +11,7 @@ import pytest
 import prnn_abc.plant as plant_module
 from prnn_abc import sim, verify
 from prnn_abc.backstepping import Gains, ReferenceSignal
+from prnn_abc.cli import main
 from prnn_abc.config import BOUND_KEYS, Scenario, Timing, apply_grid_point
 from prnn_abc.plant import DisturbanceSpec, PlantState
 from prnn_abc.prnn import PrnnConfig
@@ -288,6 +289,46 @@ def test_r_consistency_names_an_aborted_baseline(monkeypatch):
     result = verify.suite_r_consistency()
     assert not result.passed
     assert result.lines == ["exact baseline aborted: |x1| >= pi/2 at t=0.000000 (x1=1.6000 rad)"]
+
+
+# a run from x1 = 1.6 aborts at t=0, before it logs its first row
+TIPPED = "|x1| >= pi/2 at t=0.000000 (x1=1.6000 rad)"
+
+
+def _tip(monkeypatch, law):
+    start = getattr(sim, law)
+    monkeypatch.setattr(sim, law, lambda sc: start(replace(sc, initial=PlantState(1.6, 0.0))))
+
+
+# suite: (the law whose runs abort, the suite's one line)
+ABORT_LINES = {
+    "stabilization": ("run", f"run aborted: {TIPPED}"),
+    "saturation": ("run", f"run aborted: {TIPPED}"),
+    "rls-batch": ("run", f"run aborted: {TIPPED}"),
+    "r-consistency": ("run", f"run at R=1.0 aborted: {TIPPED}"),
+    "lyapunov": ("run_exact_baseline", f"exact baseline aborted: {TIPPED}"),
+}
+
+
+@pytest.mark.parametrize("name", list(ABORT_LINES))
+def test_suite_whose_run_aborts_fails_naming_the_reason(monkeypatch, name):
+    law, line = ABORT_LINES[name]
+    _tip(monkeypatch, law)
+    result = verify.SUITES[name]()
+    assert not result.passed
+    assert result.lines == [line]
+
+
+def test_verify_reports_an_aborted_suite_as_a_fail(monkeypatch, capsys):
+    _tip(monkeypatch, "run")
+    assert main(["verify", "--suite", "stabilization"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "[FAIL] stabilization",
+        f"    run aborted: {TIPPED}",
+        "0/1 suites passed",
+    ]
+    assert "Traceback" not in captured.err
 
 
 def test_exact_baseline_aborts_when_input_gain_vanishes():
