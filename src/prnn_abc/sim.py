@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -354,6 +353,9 @@ def sweep(
 
     runnable = [sc for _, sc, _ in prepared if sc is not None]
     if max_workers > 1 and len(runnable) > 1:
+        # imported here: only a parallel sweep loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks all of its workers at the first submit, so never ask
         # for more than there are cells
         with ProcessPoolExecutor(max_workers=min(max_workers, len(runnable))) as pool:

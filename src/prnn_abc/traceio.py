@@ -53,12 +53,18 @@ def read_trace(path) -> list[TraceRecord]:
     return records
 
 
+# the columns a consistent trace holds finite: a NaN compares False in every
+# tolerance check below, and an infinite one widens its own tolerance to inf
+_FINITE_COLUMNS = ("t", "x1", "x2", "S1", "S2", "u", "Q", "V2", "condition_residual")
+
+
 def check_trace(records: list[TraceRecord]) -> list[str]:
     """Internal-consistency problems of a trace; empty list means clean.
 
     Recomputable columns must match to 1e-12: V2 from S1, S2 and the
     condition residual times Q, which is the constant effort weight R.
-    Timestamps must advance on a uniform grid.
+    Those columns, t, x1, x2 and u must be finite, and so must the
+    recomputed V2.  Timestamps must advance on a uniform grid.
     """
     problems = []
     if not records:
@@ -68,13 +74,14 @@ def check_trace(records: list[TraceRecord]) -> list[str]:
     r_weight = records[0].condition_residual * records[0].Q
     dt = records[1].t - records[0].t if len(records) > 1 else None
     for k, r in enumerate(records):
-        v2 = 0.5 * r.S1**2 + 0.5 * r.S2**2
-        if abs(v2 - r.V2) > 1e-12 * (1.0 + abs(v2)):
+        # products, not **2: a square that overflows is inf instead of an OverflowError
+        v2 = 0.5 * (r.S1 * r.S1) + 0.5 * (r.S2 * r.S2)
+        if not math.isfinite(v2) or abs(v2 - r.V2) > 1e-12 * (1.0 + abs(v2)):
             problems.append(f"row {k}: V2 inconsistent with S1,S2 ({r.V2!r} vs {v2!r})")
         rq = r.condition_residual * r.Q
         if abs(rq - r_weight) > 1e-12 * (1.0 + abs(r_weight)):
             problems.append(f"row {k}: condition_residual*Q = {rq!r} not constant")
-        for name in ("t", "x1", "x2", "u", "V2"):
+        for name in _FINITE_COLUMNS:
             if not math.isfinite(getattr(r, name)):
                 problems.append(f"row {k}: non-finite {name}")
         if k > 0 and dt is not None:

@@ -8,8 +8,11 @@ import math
 import struct
 from pathlib import Path
 
-from prnn_abc.backstepping import ErrorCoords, Gains
-from prnn_abc.config import Scenario, dumps_scenario
+import numpy as np
+
+from prnn_abc import prnn, sim
+from prnn_abc.backstepping import ErrorCoords, Gains, ReferenceSignal
+from prnn_abc.config import Scenario, Timing, dumps_scenario
 from prnn_abc.plant import PendulumParams, PlantState
 
 
@@ -68,3 +71,46 @@ def s2_rate(a: float, b: float, u: float, ddx1d: float, e: ErrorCoords, gains: G
 def save_scenario(path, scenario: Scenario) -> None:
     """Write a scenario file, as `simulate` writes scenario.yaml."""
     Path(path).write_text(dumps_scenario(scenario), encoding="utf-8")
+
+
+def projection_details(seed: int, pairs: int = 100_000) -> dict[str, float]:
+    """The `projection` suite's figures, from whole arrays of every pair.
+
+    Draws the box, a, b and sigma in one call each, in the suite's order,
+    and reduces each figure over all pairs at once.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(rng.uniform(-5.0, 5.0, 2))
+    if hi - lo < 1e-3:
+        hi = lo + 1e-3
+    lo, hi = box = float(lo), float(hi)
+    a = rng.uniform(-20.0, 20.0, pairs)
+    b = rng.uniform(-20.0, 20.0, pairs)
+    pa, pb = (np.array([prnn.project(v, box) for v in x.tolist()]) for x in (a, b))
+    assert np.array_equal(pa, np.clip(a, lo, hi)) and np.array_equal(pb, np.clip(b, lo, hi))
+    sigma = rng.uniform(lo, hi, pairs)
+    return {
+        "worst_expansion": float(np.max(np.abs(pa - pb) - np.abs(a - b))),
+        "worst_obtuse_angle": float(np.min((pa - sigma) * (a - pa))),
+    }
+
+
+def lyapunov_details() -> dict[str, float]:
+    """The `lyapunov` suite's figures, from all six exact-law traces at once."""
+    timing = Timing(plant_dt=0.001, control_period=0.001, duration=3.0)
+    traces = [
+        sim.run_exact_baseline(
+            Scenario(initial=PlantState(x10, 0.0), reference=ref,
+                     gains=Gains(c1=c1, c2=c2), timing=timing)
+        )[0]
+        for c1, c2 in ((1.0, 1.0), (2.0, 2.0), (3.0, 1.0))
+        for ref, x10 in (
+            (ReferenceSignal(kind="constant", setpoint=0.0), 0.1),
+            (ReferenceSignal(kind="sinusoid", amplitude=0.1, frequency=0.5), 0.05),
+        )
+    ]
+    worst = 0.0
+    for trace in traces:
+        for prev, cur in zip(trace, trace[1:]):
+            worst = max(worst, abs((cur.V2 - prev.V2) / 0.001 - prev.V2_dot_ideal))
+    return {"worst_identity_error": worst, "tolerance": 10.0 * 0.001 + 1e-6}

@@ -8,10 +8,13 @@ exact solution that criterion 8b measures the integrator against.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from oracles import lyapunov_details, projection_details
 from prnn_abc import plant, verify
 from prnn_abc.plant import PendulumParams, PlantState
 
@@ -84,6 +87,56 @@ def test_criterion_8b_integrator_fourth_order():
 
 def test_criterion_8c_projection_nonexpansive():
     _check(verify.suite_projection(seed=0))
+
+
+PINNED_SEEDS = [0, 5, 11, 2**31 - 1]
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_projection_figures_equal_the_whole_array_pass(seed):
+    # repr tells -0.0 from 0.0: the angle figure is a signed zero at most seeds
+    details = verify.suite_projection(seed=seed).details
+    assert repr(details) == repr(projection_details(seed))
+
+
+@pytest.fixture(scope="module")
+def lyapunov_oracle():
+    return lyapunov_details()
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_lyapunov_figures_equal_the_all_traces_pass(seed, lyapunov_oracle):
+    assert repr(verify.suite_lyapunov(seed=seed).details) == repr(lyapunov_oracle)
+
+
+def test_consecutive_streams_continue_one_whole_draw():
+    rng = np.random.default_rng(3)
+    rng.uniform(size=2)
+    whole = np.random.default_rng(3).uniform(-1.0, 1.0, 2 + 3 * 1000)[2:]
+    streams = verify._consecutive_streams(rng, 1000, 3)
+    sliced = [s.uniform(-1.0, 1.0, size) for s in streams for size in (999, 1)]
+    assert np.array_equal(np.concatenate(sliced), whole)
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_projection_holds_no_whole_pair_lists():
+    # a slice of pairs at a time: about 1.2-1.9 MB, against 6.4-7.1 MB for
+    # whole lists of all 100,000 projections
+    assert _traced_peak_mb(lambda: verify.suite_projection(seed=5)) < 3.0
+
+
+def test_lyapunov_holds_one_trace_at_a_time():
+    # one 3,000-row trace alive: about 1.8 MB, against 3.4 MB with two
+    assert _traced_peak_mb(verify.suite_lyapunov) < 2.6
 
 
 def test_rk4_exact_endpoint_matches_a_30_digit_solution():

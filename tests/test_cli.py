@@ -186,6 +186,25 @@ def test_validate_rejects_tampered_trace(tmp_path, quick_config, capsys):
     assert capsys.readouterr().err.splitlines()[0] == "row 4: non-finite x1"
 
 
+def test_validate_rejects_a_non_finite_or_overflowing_s1(tmp_path, quick_config, capsys):
+    # a NaN S1 once passed as consistent, and an S1 of 1e200 raised OverflowError
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(quick_config), "--out", str(out)])
+    path = out / "trace.csv"
+    fresh = path.read_text(encoding="utf-8").splitlines()
+    for value in ("nan", "1e200"):
+        lines = list(fresh)
+        parts = lines[5].split(",")
+        parts[TRACE_COLUMNS.index("S1")] = value
+        lines[5] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("row 4: V2 inconsistent with S1,S2")
+        assert "Traceback" not in err
+
+
 def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.csv")]) == 1
 
@@ -225,6 +244,13 @@ def test_verify_single_suite(capsys):
     out = capsys.readouterr().out
     assert "[PASS] gradient" in out
     assert "1/1 suites passed" in out
+
+
+def test_verify_projection_prints_its_pinned_figure(capsys):
+    # clamps, differences and a max only, no libm: the figure pins the draw
+    # order of the box, a and b on any host
+    assert main(["verify", "--suite", "projection", "--seed", "5"]) == 0
+    assert "worst_expansion=-2.834e-05" in capsys.readouterr().out
 
 
 def test_verify_unknown_suite(capsys):

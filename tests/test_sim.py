@@ -1,9 +1,14 @@
 """Closed-loop runs, Lyapunov monitoring, and parameter sweeps."""
 
+import concurrent.futures
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,12 +507,30 @@ def test_sweep_pool_capped_at_cell_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    # sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     base = replace(STABILIZE, timing=Timing(0.001, 0.01, 0.1))
     cells = sweep(base, {"weights.R": [0.1, -1.0, 0.01]}, max_workers=5000)
     assert sizes == [2]  # the invalid R = -1 cell never reaches the pool
     assert [c.summary is not None for c in cells] == [True, False, True]
     assert cells[0].summary == run(apply_grid_point(base, {"weights.R": 0.1}))[1]
+
+
+def test_pool_modules_load_only_for_a_parallel_sweep():
+    # a fresh interpreter: this module imports concurrent.futures itself
+    code = (
+        "import sys, prnn_abc.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_sweep_grid_order_and_failures():

@@ -122,6 +122,30 @@ def test_check_trace_catches_inconsistent_condition_residual(short_trace):
     assert any("condition_residual" in p for p in check_trace(tampered))
 
 
+@pytest.mark.parametrize(
+    "column, value, problem",
+    [
+        ("S1", math.nan, "row {k}: non-finite S1"),
+        ("S2", math.nan, "row {k}: non-finite S2"),
+        ("Q", math.nan, "row {k}: non-finite Q"),
+        ("condition_residual", math.nan, "row {k}: non-finite condition_residual"),
+        ("S1", math.inf, "row {k}: non-finite S1"),
+        # finite, but its square overflows: once an OverflowError
+        ("S1", 1e200, "row {k}: V2 inconsistent with S1,S2"),
+    ],
+)
+@pytest.mark.parametrize("k", [0, 4])
+def test_check_trace_catches_a_non_finite_column(short_trace, column, value, problem, k):
+    # a NaN compares False in every tolerance check, and an infinite V2
+    # made its own relative tolerance infinite: each passed as consistent
+    tampered = list(short_trace)
+    tampered[k] = tampered[k]._replace(**{column: value})
+    problems = check_trace(tampered)
+    assert problems
+    assert all(p.startswith(f"row {k}: ") for p in problems)
+    assert any(p.startswith(problem.format(k=k)) for p in problems)
+
+
 def test_check_trace_catches_time_gap(short_trace):
     tampered = list(short_trace)
     tampered[7] = tampered[7]._replace(t=tampered[7].t + 0.004)
