@@ -99,11 +99,82 @@ class RunSummary:
 _NO_THETA = (math.nan, math.nan, math.nan)
 
 
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # output hashing
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hash32(value: int, hash_const: int, mult: int) -> tuple[int, int]:
+    # SeedSequence's hashmix: the hashed value and the advanced constant
+    value ^= hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix32(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seeded_uniform(seed: int, count: int) -> list[float]:
+    """`np.random.default_rng(seed).uniform(-1.0, 1.0, count).tolist()`, bit for bit.
+
+    numpy's default generator is PCG64 (XSL-RR 128/64) seeded through
+    SeedSequence; computing it here keeps `numpy.random`, several MB of
+    resident memory, out of every process that only needs theta0.
+    """
+    # SeedSequence(seed): the seed's 32-bit words, low first, mixed into a pool of 4
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    hash_const = _INIT_A
+    pool = []
+    for i in range(4):
+        value, hash_const = _hash32(words[i] if i < len(words) else 0, hash_const, _MULT_A)
+        pool.append(value)
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                value, hash_const = _hash32(pool[i_src], hash_const, _MULT_A)
+                pool[i_dst] = _mix32(pool[i_dst], value)
+    for word in words[4:]:
+        for i_dst in range(4):
+            value, hash_const = _hash32(word, hash_const, _MULT_A)
+            pool[i_dst] = _mix32(pool[i_dst], value)
+    # generate_state(4, uint64): eight hashed pool words, paired low word first
+    hash_const = _INIT_B
+    state32 = []
+    for i in range(8):
+        value, hash_const = _hash32(pool[i % 4], hash_const, _MULT_B)
+        state32.append(value)
+    w0, w1, w2, w3 = (state32[i] | state32[i + 1] << 32 for i in range(0, 8, 2))
+    # PCG64 srandom_r with initstate = w0:w1 and initseq = w2:w3
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    draws = []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        # XSL-RR output, then its top 53 bits as a double in [0, 1)
+        x = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        draws.append(-1.0 + 2.0 * ((x >> 11) * 2.0**-53))
+    return draws
+
+
 def initial_theta(scenario: Scenario) -> rls.Vector3:
-    """Initial estimate: explicit override or nominal perturbed by the seed."""
+    """Initial estimate: explicit override or nominal perturbed by the seed.
+
+    The perturbation draws are numpy `default_rng(seed)`'s first three
+    uniform(-1, 1) doubles, computed without loading `numpy.random`.
+    """
     if scenario.rls.theta0 is not None:
         return scenario.rls.theta0
-    draws = np.random.default_rng(scenario.seed).uniform(-1.0, 1.0, 3).tolist()
+    draws = _seeded_uniform(scenario.seed, 3)
     scale = scenario.rls.theta0_perturbation
     return tuple(t * (1.0 + scale * r) for t, r in zip(rls.true_theta(scenario.params), draws))
 

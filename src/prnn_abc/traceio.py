@@ -71,7 +71,10 @@ def check_trace(records: list[TraceRecord]) -> list[str]:
         problems.append("trace is empty")
         return problems
 
-    r_weight = records[0].condition_residual * records[0].Q
+    # the reference R is the first finite product; a non-finite one is reported below
+    r_weight = next(
+        (rq for r in records if math.isfinite(rq := r.condition_residual * r.Q)), math.nan
+    )
     dt = records[1].t - records[0].t if len(records) > 1 else None
     for k, r in enumerate(records):
         # products, not **2: a square that overflows is inf instead of an OverflowError

@@ -421,8 +421,8 @@ def _consecutive_streams(
 def suite_projection(seed: int = 0) -> SuiteResult:
     """prnn.project is the clamp, non-expansive and obtuse-angled.
 
-    The pairs are drawn and projected in slices of _PROJECTION_CHUNK, so no
-    array or list holds all of them but the angle products; the draws and
+    The pairs are drawn, projected and reduced in slices of
+    _PROJECTION_CHUNK, so no array or list holds all of them; the draws and
     the figures are those of whole draws of a, b and then sigma.
     """
     rng = np.random.default_rng(seed)
@@ -431,8 +431,7 @@ def suite_projection(seed: int = 0) -> SuiteResult:
     draw_a, draw_b, draw_sigma = _consecutive_streams(rng, n, 3)
     is_clamp = True
     expansions = []
-    # whole, so that np.min picks the same signed zero as one pass over all pairs
-    inner = np.empty(n)
+    angles = []
     for start in range(0, n, _PROJECTION_CHUNK):
         size = min(_PROJECTION_CHUNK, n - start)
         a = draw_a.uniform(-20.0, 20.0, size)
@@ -446,9 +445,10 @@ def suite_projection(seed: int = 0) -> SuiteResult:
         )
         # never -0.0 (x - x is +0.0), so the max of the slice maxima is the max
         expansions.append(np.max(np.abs(pa - pb) - np.abs(a - b)))
-        inner[start:start + size] = (pa - sigma) * (a - pa)
+        angles.append(np.min((pa - sigma) * (a - pa)))
     worst_expansion = float(np.max(expansions))
-    worst_angle = float(np.min(inner))
+    # + 0.0 turns -0.0 into +0.0: which signed zero a min returns is unspecified
+    worst_angle = float(np.min(angles)) + 0.0
     passed = is_clamp and worst_expansion <= 0.0 and worst_angle >= -1e-12
     return SuiteResult(
         passed=passed,

@@ -91,7 +91,7 @@ def projection_details(seed: int, pairs: int = 100_000) -> dict[str, float]:
     sigma = rng.uniform(lo, hi, pairs)
     return {
         "worst_expansion": float(np.max(np.abs(pa - pb) - np.abs(a - b))),
-        "worst_obtuse_angle": float(np.min((pa - sigma) * (a - pa))),
+        "worst_obtuse_angle": float(np.min((pa - sigma) * (a - pa))) + 0.0,
     }
 
 

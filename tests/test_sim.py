@@ -111,6 +111,38 @@ def test_seed_changes_adaptive_run():
     assert _theta(t1[10]) != _theta(t2[10])
 
 
+_DRAW_SEEDS = (
+    list(range(1000))
+    + [2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100]
+    + np.random.default_rng(20141).integers(0, 2**64, 300, dtype=np.uint64).tolist()
+)
+
+
+def test_initial_theta_draws_are_numpys_default_rng():
+    # the pure-Python PCG64 reproduces numpy's doubles bit for bit
+    for seed in _DRAW_SEEDS:
+        want = np.random.default_rng(seed).uniform(-1.0, 1.0, 3).tolist()
+        assert sim._seeded_uniform(seed, 3) == want, seed
+
+
+def test_adaptive_run_and_validate_do_not_load_numpy_random(tmp_path):
+    # a fresh interpreter: this module imports numpy.random itself
+    code = (
+        "import sys; from prnn_abc.cli import main; "
+        f"assert main(['simulate', '--adaptive', 'on', '--out', {str(tmp_path)!r}]) == 0; "
+        f"assert main(['validate', {str(tmp_path / 'trace.csv')!r}]) == 0; "
+        "print('numpy.random' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_adaptive_tracking_with_perturbed_estimate():
     # excited run: estimates converge and tracking is preserved
     scenario = replace(sinusoid_scenario(), adaptive=True, seed=3, timing=Timing(0.001, 0.01, 5.0))

@@ -146,6 +146,17 @@ def test_check_trace_catches_a_non_finite_column(short_trace, column, value, pro
     assert any(p.startswith(problem.format(k=k)) for p in problems)
 
 
+def test_check_trace_constant_weight_survives_a_nan_first_row(short_trace):
+    # a NaN product at row 0 must not blind the constancy check on the later rows
+    tampered = list(short_trace)
+    tampered[0] = tampered[0]._replace(Q=math.nan)
+    tampered[10] = tampered[10]._replace(condition_residual=2.0 * tampered[10].condition_residual)
+    problems = check_trace(tampered)
+    assert "row 0: non-finite Q" in problems
+    assert any(p.startswith("row 10: condition_residual*Q = ") for p in problems)
+    assert all(p.startswith(("row 0: ", "row 10: ")) for p in problems)
+
+
 def test_check_trace_catches_time_gap(short_trace):
     tampered = list(short_trace)
     tampered[7] = tampered[7]._replace(t=tampered[7].t + 0.004)
