@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 success, 1 run abort or failed
 verification, 2 configuration/usage error.  `PRNN_ABC_THREADS` caps sweep
-parallelism.
+parallelism.  Only `verify` imports the `verify` module, and with it numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import sim, traceio, verify
+from . import sim, traceio
 from .config import ConfigError, Scenario, dumps_scenario, load_scenario
 from .sim import RunSummary, default_scenario
 
@@ -105,6 +105,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     scenario = None if args.scenario is None else load_scenario(args.scenario)
     names = None if args.suite is None else [args.suite]
     results = verify.run_suites(names, seed=args.seed, scenario=scenario)
@@ -191,6 +193,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _SuiteNames:
+    """The --suite choices: `verify.SUITES`' keys, imported when argparse reads them."""
+
+    def __iter__(self):
+        from .verify import SUITES
+
+        return iter(SUITES)
+
+    def __contains__(self, name) -> bool:
+        from .verify import SUITES
+
+        return name in SUITES
+
+
 def _seed(text: str) -> int:
     """The --seed of simulate and verify: a non-negative integer, else a usage error."""
     try:
@@ -222,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument(
-        "--suite", choices=list(verify.SUITES), metavar="NAME",
-        help=f"run a single suite (default: all): {', '.join(verify.SUITES)}",
+        "--suite", choices=_SuiteNames(), metavar="NAME",
+        help="run a single suite (default: all): %(choices)s",
     )
     p.add_argument("--seed", type=_seed, default=0, help="seed for randomized suites")
     p.add_argument("--scenario", help="scenario YAML whose run adds a lyapunov-monitor result")

@@ -9,6 +9,8 @@ so that dx2/dt = A(x) + B(x) * u + d.
 d is a pure function of (DisturbanceSpec, t).  `stage_disturbance` samples
 it ahead of the integration, at every RK4 stage time of a whole run at once,
 and `step` integrates the rows it is given without knowing how d is made.
+Only a time-varying d needs numpy, to build that grid, so numpy is imported
+where the grid is built and a run with no or a constant d never loads it.
 For speed, `step` writes A + B*u + d out at each of its four RK4 stages
 over one shared denominator, with one division per stage; tests/test_plant.py
 checks it bit for bit against textbook RK4 over the same expression, and
@@ -20,9 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -171,6 +171,8 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _random_values(spec: DisturbanceSpec, times: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # bounded-uniform-random: a counter-based stream, hashing (seed, bit
     # pattern of t) so that RK4 stage sampling is reproducible and independent
     # of call order.  Both mixes are bijections, so at one t two seeds never
@@ -188,6 +190,11 @@ def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
     return float(disturbance_at(spec, t))
 
 
+def _invariant_value(spec: DisturbanceSpec) -> float:
+    # the d of a time-invariant kind, the same at every t
+    return spec.amplitude if spec.kind == "constant" else 0.0
+
+
 def disturbance_at(spec: DisturbanceSpec, times: np.ndarray | float) -> np.ndarray:
     """The disturbance of spec at every entry of `times`, an array or a number.
 
@@ -195,11 +202,11 @@ def disturbance_at(spec: DisturbanceSpec, times: np.ndarray | float) -> np.ndarr
     vectorized pass; the sinusoid runs math.sin, which np.sin need not match
     bit for bit, on times turned into Python floats 4096 at a time.
     """
+    import numpy as np
+
     times = np.asarray(times, dtype=np.float64)
-    if spec.kind == "none":
-        return np.zeros(times.shape)
-    if spec.kind == "constant":
-        return np.full(times.shape, spec.amplitude)
+    if spec.kind in ("none", "constant"):
+        return np.full(times.shape, _invariant_value(spec))
     if spec.kind == "sinusoid":
         a, w, flat = spec.amplitude, 2.0 * math.pi * spec.frequency, times.ravel()
         chunks = (flat[i : i + 4096].tolist() for i in range(0, flat.size, 4096))
@@ -215,19 +222,31 @@ def stage_times(t, dt: float, steps: int) -> np.ndarray:
     (*shape(t), steps, 3): for sub-step i, t_i = t + i*dt, t_i + dt/2 and
     t_i + dt, each rounded as one IEEE operation.
     """
+    import numpy as np
+
     ti = np.asarray(t, dtype=np.float64)[..., None] + np.arange(steps) * dt
     return np.stack((ti, ti + 0.5 * dt, ti + dt), axis=-1)
 
 
-def stage_disturbance(spec: DisturbanceSpec, t, dt: float, steps: int) -> np.ndarray:
-    """The disturbance rows that `step` reads for `steps` sub-steps of size dt from t.
+def stage_disturbance(
+    spec: DisturbanceSpec, t: float, dt: float, steps: int, periods: int = 1, period: float = 0.0
+) -> Iterable[list[list[float]]]:
+    """The disturbance rows that `step` reads, one list of `steps` rows per period.
 
-    Shape (*shape(t), steps, 3): d at the stage times of `stage_times`.  A
-    time-invariant kind is a zero-stride view of one value and builds no grid.
+    Period k starts at t + k*period; its rows hold d at the stage times of
+    `stage_times` from that start.  A time-invariant kind repeats one shared
+    list of rows and samples nothing; a time-varying kind samples the whole
+    grid at once, here, and each period's rows become Python floats as they
+    are iterated.  Either way a run too long to hold raises MemoryError here,
+    at its start, from one allocation of `periods` entries.
     """
     if spec.kind in ("none", "constant"):
-        return np.broadcast_to(disturbance_at(spec, 0.0), (*np.shape(t), steps, 3))
-    return disturbance_at(spec, stage_times(t, dt, steps))
+        d = _invariant_value(spec)
+        return [[[d, d, d]] * steps] * periods
+    import numpy as np
+
+    grid = disturbance_at(spec, stage_times(t + np.arange(periods) * period, dt, steps))
+    return (rows.tolist() for rows in grid)
 
 
 def _denominator(params: PendulumParams, x1: float) -> float:
@@ -265,7 +284,7 @@ def step(
     u is held constant over all steps (zero-order hold).  Step i starts at
     t_i = t + i*dt and takes the disturbance from row i of `stages`, its
     values at t_i, t_i + dt/2 (shared by k2 and k3) and t_i + dt, as
-    `stage_disturbance(spec, t, dt, steps).tolist()` gives them.  Raises
+    `stage_disturbance(spec, t, dt, steps)` gives them.  Raises
     IntegrationBlowupError, naming the time, for a non-finite u and as soon
     as a step leaves the finite range.  The stage acceleration is written
     out four times as (g*s - c*(k*v**2*s - f)) / (l43 - k*c*c) + d, with

@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import NamedTuple, Sequence
 
 from . import plant, prnn, qp, rls
 from .backstepping import (
@@ -222,15 +222,17 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
     model: PendulumParams | None = None  # the controller's estimated plant; None: nominal terms
     prev: tuple[PlantState, float] | None = None  # state and applied u, one period ago
     # the disturbance at every RK4 stage of the run, in one pass before the
-    # loop; one row per plant sub-step, 24 bytes each unless d is constant
+    # loop; one list of rows per period, a shared one unless d varies in time
+    periods = timing.control_steps
     try:
-        starts = np.arange(timing.control_steps) * period
-        stages = plant.stage_disturbance(sc.disturbance, starts, plant_dt, timing.substeps)
+        stages = iter(
+            plant.stage_disturbance(sc.disturbance, 0.0, plant_dt, timing.substeps, periods, period)
+        )
     except MemoryError:  # a valid duration too long to sample ahead aborts before its start
-        aborted, stages, n = True, (), timing.control_steps * timing.substeps
+        aborted, periods, n = True, 0, timing.control_steps * timing.substeps
         reason = f"disturbance of {n} plant sub-steps does not fit in memory at t=0.000000"
 
-    for k, rows in enumerate(stages):
+    for k in range(periods):
         t = k * period
         if not state.controllable():  # the state is finite: plant.step checks each sub-step
             aborted, reason = True, f"|x1| >= pi/2 at t={t:.6f} (x1={state.x1:.4f} rad)"
@@ -284,7 +286,7 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
             )
 
             prev = (state, u)
-            state = plant.step(params, state, u, t, plant_dt, rows.tolist())
+            state = plant.step(params, state, u, t, plant_dt, next(stages))
         except IntegrationBlowupError as err:
             aborted, reason = True, str(err)
             break
@@ -303,18 +305,36 @@ def _simulate(scenario: Scenario, exact: bool) -> tuple[list[TraceRecord], RunSu
     return records, _summarize(records, sc, aborted, reason, nonphysical)
 
 
-def holds_below_from(values: np.ndarray, threshold: float, times: np.ndarray) -> float:
+def holds_below_from(values: Sequence[float], threshold: float, times: Sequence[float]) -> float:
     """First time after which |values| stays below threshold; nan if never."""
-    below = np.abs(values) < threshold
-    if not below[-1]:
-        return math.nan
-    above = np.flatnonzero(~below)
-    if above.size == 0:
-        return float(times[0])
-    return float(times[above[-1] + 1])
+    for i in reversed(range(len(values))):
+        if not abs(values[i]) < threshold:  # a NaN is never below
+            return times[i + 1] if i + 1 < len(values) else math.nan
+    return times[0]
 
 
-@np.errstate(over="ignore")  # an overflowing metric is inf, which is its value
+def _pairwise_sum(values: Sequence[float], lo: int, n: int) -> float:
+    # numpy's pairwise_sum for float64, step for step, so that a summary sum
+    # has np.sum's bits: a plain loop below 8 items, eight interleaved
+    # accumulators up to 128, and above that two halves split at a multiple of 8;
+    # reduce(add), not sum(), which compensates float sums from Python 3.12
+    if n < 8:
+        return reduce(add, values[lo : lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(add, values[lo + j : end : 8]) for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end : lo + n], res)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
+def _sum(values: Sequence[float]) -> float:
+    """`float(np.sum(values))` for a list of floats, bit for bit."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
 def _summarize(
     records: list[TraceRecord],
     scenario: Scenario,
@@ -327,30 +347,31 @@ def _summarize(
         figures = {f.name: math.nan for f in fields(RunSummary) if f.name not in flags}
         return RunSummary(**figures, **flags)
     period = scenario.timing.control_period
-    t = np.array([r.t for r in records])
-    s1 = np.array([r.S1 for r in records])
-    u = np.array([r.u for r in records])
-    res = np.array([r.prnn_residual for r in records])
-    cond = np.array([r.condition_residual for r in records])
+    t = [r.t for r in records]
+    s1 = [r.S1 for r in records]
+    u = [r.u for r in records]
+    res = [r.prnn_residual for r in records]
+    cond = [r.condition_residual for r in records]
     lo, hi = scenario.bounds
-    on_bound = (u <= lo + 1e-12 * (1.0 + abs(lo))) | (u >= hi - 1e-12 * (1.0 + abs(hi)))
+    on_lo, on_hi = lo + 1e-12 * (1.0 + abs(lo)), hi - 1e-12 * (1.0 + abs(hi))
+    on_bound = sum(1 for v in u if v <= on_lo or v >= on_hi)
 
     last = records[-1]
     theta_err = math.nan  # unless the trace logs an estimate: only adaptive runs do
     if not math.isnan(last.theta1):
         theta, truth = (last.theta1, last.theta2, last.theta3), rls.true_theta(scenario.params)
-        # math.hypot, not np.linalg.norm: no BLAS call, so no kernel-dependent bits
         theta_err = math.hypot(*(a - b for a, b in zip(theta, truth))) / math.hypot(*truth)
 
     return RunSummary(
         settling_time=holds_below_from(s1, scenario.settle_tol, t),
-        max_abs_s1=float(np.max(np.abs(s1))),
-        control_effort=float(np.sum(u**2) * period),
-        tracking_cost=float(np.sum(s1**2) * period),
-        saturation_fraction=float(np.mean(on_bound)),
+        max_abs_s1=math.nan if any(map(math.isnan, s1)) else max(map(abs, s1)),
+        # products, not **2: a square that overflows is inf, which is its value
+        control_effort=_sum([v * v for v in u]) * period,
+        tracking_cost=_sum([v * v for v in s1]) * period,
+        saturation_fraction=on_bound / len(u),
         final_theta_error=theta_err,
         time_to_prnn_residual=holds_below_from(res, PRNN_RESIDUAL_SETTLED, t),
-        mean_condition_residual=float(np.mean(cond)),
+        mean_condition_residual=_sum(cond) / len(cond),
         final_v2=last.V2,
         **flags,
     )

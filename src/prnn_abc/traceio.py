@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import pairwise
 
 from .sim import TraceRecord
 
@@ -64,7 +65,8 @@ def check_trace(records: list[TraceRecord]) -> list[str]:
     Recomputable columns must match to 1e-12: V2 from S1, S2 and the
     condition residual times Q, which is the constant effort weight R.
     Those columns, t, x1, x2 and u must be finite, and so must the
-    recomputed V2.  Timestamps must advance on a uniform grid.
+    recomputed V2.  Timestamps must advance on a uniform grid: each step
+    between two finite times must be > 0 and match the first such step.
     """
     problems = []
     if not records:
@@ -75,7 +77,17 @@ def check_trace(records: list[TraceRecord]) -> list[str]:
     r_weight = next(
         (rq for r in records if math.isfinite(rq := r.condition_residual * r.Q)), math.nan
     )
-    dt = records[1].t - records[0].t if len(records) > 1 else None
+    # the reference step is the first > 0 between two finite times, so that a
+    # non-finite or repeated t, reported below, leaves the grid check on the
+    # other rows
+    dt = next(
+        (
+            b.t - a.t
+            for a, b in pairwise(records)
+            if math.isfinite(a.t) and math.isfinite(b.t) and b.t - a.t > 0
+        ),
+        math.nan,
+    )
     for k, r in enumerate(records):
         # products, not **2: a square that overflows is inf instead of an OverflowError
         v2 = 0.5 * (r.S1 * r.S1) + 0.5 * (r.S2 * r.S2)
@@ -87,8 +99,10 @@ def check_trace(records: list[TraceRecord]) -> list[str]:
         for name in _FINITE_COLUMNS:
             if not math.isfinite(getattr(r, name)):
                 problems.append(f"row {k}: non-finite {name}")
-        if k > 0 and dt is not None:
+        if k > 0 and math.isfinite(r.t) and math.isfinite(records[k - 1].t):
             gap = r.t - records[k - 1].t
-            if abs(gap - dt) > 1e-9 * (1.0 + abs(dt)):
+            if not gap > 0:
+                problems.append(f"row {k}: time does not advance (step {gap!r})")
+            elif abs(gap - dt) > 1e-9 * (1.0 + abs(dt)):
                 problems.append(f"row {k}: non-uniform time step {gap!r}")
     return problems

@@ -377,7 +377,7 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
     params = PendulumParams()
 
     def endpoint(dt: float) -> tuple[float, float]:
-        rows = plant.stage_disturbance(DisturbanceSpec(), 0.0, dt, round(0.5 / dt)).tolist()
+        (rows,) = plant.stage_disturbance(DisturbanceSpec(), 0.0, dt, round(0.5 / dt))
         state = plant.step(params, PlantState(0.1, 0.0), 0.0, 0.0, dt, rows)
         return state.x1, state.x2
 

@@ -6,11 +6,12 @@ the fused code paths of the package, so that a test can use them as oracles.
 
 import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from prnn_abc import prnn, sim
+from prnn_abc import prnn, rls, sim
 from prnn_abc.backstepping import ErrorCoords, Gains, ReferenceSignal
 from prnn_abc.config import Scenario, Timing, dumps_scenario
 from prnn_abc.plant import PendulumParams, PlantState
@@ -114,3 +115,53 @@ def lyapunov_details() -> dict[str, float]:
         for prev, cur in zip(trace, trace[1:]):
             worst = max(worst, abs((cur.V2 - prev.V2) / 0.001 - prev.V2_dot_ideal))
     return {"worst_identity_error": worst, "tolerance": 10.0 * 0.001 + 1e-6}
+
+
+def holds_below_from(values, threshold: float, times) -> float:
+    """First time after which |values| stays below threshold; nan if never.
+
+    The array statement of `sim.holds_below_from`.
+    """
+    below = np.abs(np.asarray(values)) < threshold
+    if not below[-1]:
+        return math.nan
+    above = np.flatnonzero(~below)
+    if above.size == 0:
+        return float(times[0])
+    return float(times[above[-1] + 1])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing metric is inf, inf - inf is nan
+def summarize(records, scenario: Scenario, aborted: bool, reason: str, nonphysical: bool):
+    """`sim._summarize` over numpy arrays: np.sum, np.mean and np.max do the reductions."""
+    flags = {"aborted": aborted, "abort_reason": reason, "nonphysical_estimate": nonphysical}
+    if not records:
+        figures = {f.name: math.nan for f in fields(sim.RunSummary) if f.name not in flags}
+        return sim.RunSummary(**figures, **flags)
+    period = scenario.timing.control_period
+    t = np.array([r.t for r in records])
+    s1 = np.array([r.S1 for r in records])
+    u = np.array([r.u for r in records])
+    res = np.array([r.prnn_residual for r in records])
+    cond = np.array([r.condition_residual for r in records])
+    lo, hi = scenario.bounds
+    on_bound = (u <= lo + 1e-12 * (1.0 + abs(lo))) | (u >= hi - 1e-12 * (1.0 + abs(hi)))
+
+    last = records[-1]
+    theta_err = math.nan
+    if not math.isnan(last.theta1):
+        theta, truth = (last.theta1, last.theta2, last.theta3), rls.true_theta(scenario.params)
+        theta_err = math.hypot(*(a - b for a, b in zip(theta, truth))) / math.hypot(*truth)
+
+    return sim.RunSummary(
+        settling_time=holds_below_from(s1, scenario.settle_tol, t),
+        max_abs_s1=float(np.max(np.abs(s1))),
+        control_effort=float(np.sum(u**2) * period),
+        tracking_cost=float(np.sum(s1**2) * period),
+        saturation_fraction=float(np.mean(on_bound)),
+        final_theta_error=theta_err,
+        time_to_prnn_residual=holds_below_from(res, sim.PRNN_RESIDUAL_SETTLED, t),
+        mean_condition_residual=float(np.mean(cond)),
+        final_v2=last.V2,
+        **flags,
+    )

@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,38 @@ def test_simulate_out_of_memory_before_the_loop_is_an_abort(tmp_path, capsys, mo
     assert read_trace(out / "trace.csv") == []
 
 
+def test_simulate_duration_too_long_to_hold_aborts_at_once(tmp_path):
+    # a real 1e14-period run: its rows are one list of 1e14 entries, refused
+    # in one allocation at t=0 instead of growing until the host runs out; a
+    # fresh interpreter under an address-space cap, which also reports the
+    # peak Python heap, so that a run that builds its periods one at a time
+    # fails here even where the cap stops it cleanly
+    pytest.importorskip("resource")
+    (tmp_path / "long.yaml").write_text("timing: {duration: 1.0e+12}\n", "utf-8")
+    code = (
+        "import resource, sys, tracemalloc; "
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, hard)); "
+        "tracemalloc.start(); from prnn_abc.cli import main; "
+        "code = main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(tracemalloc.get_traced_memory()[1]); sys.exit(code)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "long.yaml"), str(out)], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    n = 10**14 * 10
+    reason = f"disturbance of {n} plant sub-steps does not fit in memory at t=0.000000"
+    assert json.loads((out / "summary.json").read_text())["abort_reason"] == reason
+    assert f"run aborted: {reason}" in done.stderr
+    assert int(done.stdout.splitlines()[-1]) < 64 * 2**20
+
+
 def test_simulate_out_of_memory_inside_the_loop_is_an_abort(tmp_path, capsys, monkeypatch,
                                                             quick_config):
     # a period of millions of sub-steps can exhaust memory in any period, not
@@ -251,6 +287,16 @@ def test_verify_projection_prints_its_pinned_figure(capsys):
     # order of the box, a and b on any host
     assert main(["verify", "--suite", "projection", "--seed", "5"]) == 0
     assert "worst_expansion=-2.834e-05" in capsys.readouterr().out
+
+
+def test_verify_help_lists_every_suite(capsys, monkeypatch):
+    # the suite names are read from verify.SUITES only when help is printed
+    monkeypatch.setenv("COLUMNS", "400")  # one line: no name broken at its hyphen
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert f"run a single suite (default: all): {', '.join(verify.SUITES)}" in out
 
 
 def test_verify_unknown_suite(capsys):

@@ -34,7 +34,7 @@ SPECS = [
 
 def _step(state, u, spec, t, dt, steps=1):
     """plant.step over the disturbance rows of spec, as the loop in `sim` hands them."""
-    stages = plant_module.stage_disturbance(spec, t, dt, steps).tolist()
+    (stages,) = plant_module.stage_disturbance(spec, t, dt, steps)
     return step(PARAMS, state, u, t, dt, stages)
 
 
@@ -385,9 +385,10 @@ def test_multi_step_bit_identical_to_step_loop(spec, steps):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
 def test_multi_step_samples_time_invariant_disturbance_once(monkeypatch, spec):
-    # the rows of a multi-step call come from one disturbance_at call: a
-    # time-invariant kind at one time, a time-varying kind over the call's
-    # whole stage grid; step then reads the rows and samples nothing itself
+    # the rows of a multi-step call come from at most one disturbance_at call:
+    # none for a time-invariant kind, whose rows hold its one value, and one
+    # over the call's whole stage grid for a time-varying kind; step then
+    # reads the rows and samples nothing itself
     grids = []
     sample_at = plant_module.disturbance_at
 
@@ -399,18 +400,21 @@ def test_multi_step_samples_time_invariant_disturbance_once(monkeypatch, spec):
     dt, steps = 0.001, 10
     for t in (0.0, 0.37, 1.2345):
         grids.clear()
-        stages = plant_module.stage_disturbance(spec, t, dt, steps)
-        (grid,) = grids
+        (stages,) = plant_module.stage_disturbance(spec, t, dt, steps)
         if spec.kind in ("none", "constant"):
-            assert grid.shape == ()
+            assert grids == []
+            assert stages == [[disturbance_value(spec, 0.0)] * 3] * steps
         else:
+            (grid,) = grids
             expected = [
                 [(ti + offset).hex() for offset in (0.0, 0.5 * dt, dt)]
                 for ti in (t + i * dt for i in range(steps))
             ]
-            assert [[v.hex() for v in row] for row in grid.tolist()] == expected
+            assert [[[v.hex() for v in row] for row in rows] for rows in grid.tolist()] == [
+                expected
+            ]
         grids.clear()
-        step(PARAMS, PlantState(0.1, 0.0), 1.0, t, dt, stages.tolist())
+        step(PARAMS, PlantState(0.1, 0.0), 1.0, t, dt, stages)
         assert grids == []
 
 
@@ -418,7 +422,7 @@ def test_stage_times_match_step_arithmetic():
     # a whole run's grid, from period starts k*period as the loop forms them,
     # with each stage time rounded as the one IEEE operation step's t_i is
     period, dt, substeps, periods = 0.01, 0.001, 10, 120
-    grid = plant_module.stage_times(np.arange(periods) * period, dt, substeps)
+    grid = plant_module.stage_times([k * period for k in range(periods)], dt, substeps)
     assert grid.shape == (periods, substeps, 3)
     for k, period_rows in enumerate(grid.tolist()):
         for i, row in enumerate(period_rows):
@@ -473,16 +477,20 @@ def test_disturbance_sampler_matches_disturbance_value(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
 def test_stage_disturbance_is_disturbance_at_stage_times(spec):
-    # the rows step reads, for one period and for a whole run of periods
+    # the rows step reads, for one period and for a whole run of periods, as
+    # Python floats bit for bit equal to the sampler at the stage times
     dt, steps = 0.001, 10
-    for starts in (0.37, np.arange(120) * 0.01):
-        rows = plant_module.stage_disturbance(spec, starts, dt, steps)
+    for t, periods, period in ((0.37, 1, 0.0), (0.0, 120, 0.01), (0.25, 7, 0.01)):
+        rows = list(plant_module.stage_disturbance(spec, t, dt, steps, periods, period))
+        starts = [t + k * period for k in range(periods)]
         expected = plant_module.disturbance_at(spec, plant_module.stage_times(starts, dt, steps))
-        assert rows.shape == (*np.shape(starts), steps, 3)
-        assert rows.tolist() == expected.tolist()
+        assert [[[v.hex() for v in row] for row in period] for period in rows] == [
+            [[v.hex() for v in row] for row in period] for period in expected.tolist()
+        ]
+        assert all(type(v) is float for period in rows for row in period for v in row)
         if spec.kind in ("none", "constant"):
-            # one value seen through a zero-stride view: no grid in memory
-            assert rows.strides == (0,) * rows.ndim
+            # one shared list of rows: no grid in memory
+            assert all(period is rows[0] for period in rows)
 
 
 def test_multi_step_blowup_reports_failing_substep_time():

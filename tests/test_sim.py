@@ -207,6 +207,7 @@ def test_each_period_is_one_plant_step_call(monkeypatch, law):
     assert trace == expected
     rows = [[0.0, 0.0, 0.0]] * scenario.timing.substeps
     assert calls == [rows] * scenario.timing.control_steps
+    assert all(c is calls[0] for c in calls)  # one shared list: d does not vary
 
 
 @pytest.mark.parametrize("kind", ["none", "constant", "sinusoid", "bounded-uniform-random"])
@@ -221,12 +222,12 @@ def test_disturbance_sampled_once_per_run(monkeypatch, kind):
     sampled, rows = [], []
     sample, integrate = plant_module.stage_disturbance, plant_module.step
 
-    def counting_sample(spec, t, dt, steps):
-        sampled.append((spec, np.shape(t), dt, steps))
-        return sample(spec, t, dt, steps)
+    def counting_sample(*args):
+        sampled.append(args)
+        return sample(*args)
 
     def counting_step(params, state, u, t, dt, stages):
-        rows.append(len(stages))
+        rows.append(stages)
         return integrate(params, state, u, t, dt, stages)
 
     monkeypatch.setattr(plant_module, "stage_disturbance", counting_sample)
@@ -234,14 +235,29 @@ def test_disturbance_sampled_once_per_run(monkeypatch, kind):
     trace, _ = run(scenario)
     assert trace == expected
     timing = scenario.timing
-    assert sampled == [(disturbance, (timing.control_steps,), timing.plant_dt, timing.substeps)]
-    assert rows == [timing.substeps] * timing.control_steps
+    (args,) = sampled
+    period = timing.control_period
+    assert args == (
+        disturbance, 0.0, timing.plant_dt, timing.substeps, timing.control_steps, period
+    )
+    # each period's plant.step call reads `substeps` rows of Python floats,
+    # d at the stage times of that period's start, np.arange(n) * period
+    assert [len(r) for r in rows] == [timing.substeps] * timing.control_steps
+    starts = np.arange(timing.control_steps) * period
+    expected = plant_module.disturbance_at(
+        disturbance, plant_module.stage_times(starts, timing.plant_dt, timing.substeps)
+    )
+    assert [[[v.hex() for v in row] for row in r] for r in rows] == [
+        [[v.hex() for v in row] for row in r] for r in expected.tolist()
+    ]
+    assert all(type(v) is float for r in rows for row in r for v in row)
 
 
-@pytest.mark.parametrize("kind", ["sinusoid", "bounded-uniform-random"])
+@pytest.mark.parametrize("kind", ["none", "constant", "sinusoid", "bounded-uniform-random"])
 def test_time_varying_disturbance_sampled_once_per_run(monkeypatch, kind):
     # the whole run's stage samples come from one disturbance_at call over
-    # the run's stage grid before the loop; plant.step samples nothing itself
+    # the run's stage grid before the loop, and a time-invariant kind makes
+    # none; plant.step samples nothing itself
     disturbance = DisturbanceSpec(kind=kind, amplitude=0.3, frequency=1.5, seed=5)
     scenario = replace(
         sinusoid_scenario(0.4, 0.8), disturbance=disturbance, timing=Timing(0.001, 0.01, 1.2)
@@ -258,7 +274,10 @@ def test_time_varying_disturbance_sampled_once_per_run(monkeypatch, kind):
     trace, _ = run(scenario)
     assert trace == expected
     timing = scenario.timing
-    assert grids == [(timing.control_steps, timing.substeps, 3)]
+    if kind in ("none", "constant"):
+        assert grids == []
+    else:
+        assert grids == [(timing.control_steps, timing.substeps, 3)]
 
 
 def test_exact_baseline_tracks_ideal_v2_rate():
@@ -546,6 +565,43 @@ def test_sweep_pool_capped_at_cell_count(monkeypatch):
     assert sizes == [2]  # the invalid R = -1 cell never reaches the pool
     assert [c.summary is not None for c in cells] == [True, False, True]
     assert cells[0].summary == run(apply_grid_point(base, {"weights.R": 0.1}))[1]
+
+
+def test_time_invariant_runs_do_not_load_numpy(tmp_path):
+    # a fresh interpreter: simulate, validate and a serial sweep with no or a
+    # constant disturbance never import numpy; a time-varying disturbance and
+    # verify import it on first use, and still pass
+    configs = {
+        "constant": "disturbance: {kind: constant, amplitude: 0.2}",
+        "sinusoid": "disturbance: {kind: sinusoid, amplitude: 0.2, frequency: 1.5}",
+        "random": "disturbance: {kind: bounded-uniform-random, amplitude: 0.2, seed: 4}",
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.yaml").write_text(text + "\ntiming: {duration: 1.0}\n", "utf-8")
+    code = (
+        "import os, sys; from prnn_abc.cli import main; os.chdir(sys.argv[1]); "
+        "assert main(['simulate', '--out', 'a']) == 0; "
+        "assert main(['simulate', '--config', 'constant.yaml', '--out', 'b']) == 0; "
+        "assert main(['validate', 'a/trace.csv']) == 0; "
+        "assert main(['sweep', '--grid', 'gains.c1=1,2', '--out', 's']) == 0; "
+        "print('numpy' in sys.modules); "
+        "assert main(['simulate', '--config', 'sinusoid.yaml', '--out', 'c']) == 0; "
+        "assert main(['validate', 'c/trace.csv']) == 0; "
+        "assert main(['simulate', '--config', 'random.yaml', '--out', 'd']) == 0; "
+        "assert main(['validate', 'd/trace.csv']) == 0; "
+        "assert main(['verify', '--suite', 'gradient']) == 0; "
+        "print('numpy' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PRNN_ABC_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert [line for line in done.stdout.splitlines() if line in ("True", "False")] == [
+        "False", "True"
+    ]
 
 
 def test_pool_modules_load_only_for_a_parallel_sweep():

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import pytest
 
@@ -161,6 +162,38 @@ def test_check_trace_catches_time_gap(short_trace):
     tampered = list(short_trace)
     tampered[7] = tampered[7]._replace(t=tampered[7].t + 0.004)
     assert any("time step" in p for p in check_trace(tampered))
+
+
+@pytest.mark.parametrize(
+    "times",
+    [lambda t: 0.0, lambda t: -t],
+    ids=["all-zero", "backwards"],
+)
+def test_check_trace_catches_time_that_does_not_advance(short_trace, times):
+    # a uniform step of zero or of -dt once passed as a uniform grid
+    tampered = [r._replace(t=times(r.t)) for r in short_trace]
+    problems = check_trace(tampered)
+    assert len(problems) == len(short_trace) - 1
+    assert all(re.fullmatch(r"row \d+: time does not advance \(step .*\)", p) for p in problems)
+    assert problems[0].startswith("row 1: ")
+
+
+def test_check_trace_reports_one_duplicated_row_once(short_trace):
+    # a copy of row 0 as row 1 once made the reference step 0, so every
+    # later, correct row read as a non-uniform step
+    tampered = [short_trace[0], *short_trace]
+    assert check_trace(tampered) == ["row 1: time does not advance (step 0.0)"]
+
+
+def test_check_trace_time_gap_survives_a_nan_time(short_trace):
+    # a NaN t at row 1 made the reference step NaN, which hid every later gap
+    tampered = list(short_trace)
+    tampered[1] = tampered[1]._replace(t=math.nan)
+    tampered[30:] = [r._replace(t=r.t + 0.5) for r in tampered[30:]]
+    gap = tampered[30].t - tampered[29].t
+    assert check_trace(tampered) == [
+        "row 1: non-finite t", f"row 30: non-uniform time step {gap!r}"
+    ]
 
 
 def test_read_rejects_wrong_header(tmp_path):
