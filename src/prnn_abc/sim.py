@@ -120,63 +120,70 @@ def _mix32(x: int, y: int) -> int:
     return result ^ (result >> 16)
 
 
-def _seeded_uniform(seed: int, count: int) -> list[float]:
-    """`np.random.default_rng(seed).uniform(-1.0, 1.0, count).tolist()`, bit for bit.
+class UniformStream:
+    """numpy's `default_rng(seed)` uniform draws, bit for bit, in pure Python.
 
     numpy's default generator is PCG64 (XSL-RR 128/64) seeded through
     SeedSequence; computing it here keeps `numpy.random`, several MB of
-    resident memory, out of every process that only needs theta0.
+    resident memory, out of every process: adaptive runs draw theta0 from
+    it, and `verify` its random QPs and points.
     """
-    # SeedSequence(seed): the seed's 32-bit words, low first, mixed into a pool of 4
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    hash_const = _INIT_A
-    pool = []
-    for i in range(4):
-        value, hash_const = _hash32(words[i] if i < len(words) else 0, hash_const, _MULT_A)
-        pool.append(value)
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                value, hash_const = _hash32(pool[i_src], hash_const, _MULT_A)
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int) -> None:
+        # SeedSequence(seed): the seed's 32-bit words, low first, mixed into a pool of 4
+        words = [seed & _MASK32]
+        while seed := seed >> 32:
+            words.append(seed & _MASK32)
+        hash_const = _INIT_A
+        pool = []
+        for i in range(4):
+            value, hash_const = _hash32(words[i] if i < len(words) else 0, hash_const, _MULT_A)
+            pool.append(value)
+        for i_src in range(4):
+            for i_dst in range(4):
+                if i_src != i_dst:
+                    value, hash_const = _hash32(pool[i_src], hash_const, _MULT_A)
+                    pool[i_dst] = _mix32(pool[i_dst], value)
+        for word in words[4:]:
+            for i_dst in range(4):
+                value, hash_const = _hash32(word, hash_const, _MULT_A)
                 pool[i_dst] = _mix32(pool[i_dst], value)
-    for word in words[4:]:
-        for i_dst in range(4):
-            value, hash_const = _hash32(word, hash_const, _MULT_A)
-            pool[i_dst] = _mix32(pool[i_dst], value)
-    # generate_state(4, uint64): eight hashed pool words, paired low word first
-    hash_const = _INIT_B
-    state32 = []
-    for i in range(8):
-        value, hash_const = _hash32(pool[i % 4], hash_const, _MULT_B)
-        state32.append(value)
-    w0, w1, w2, w3 = (state32[i] | state32[i + 1] << 32 for i in range(0, 8, 2))
-    # PCG64 srandom_r with initstate = w0:w1 and initseq = w2:w3
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-    draws = []
-    for _ in range(count):
-        state = (state * _PCG64_MULT + inc) & _MASK128
+        # generate_state(4, uint64): eight hashed pool words, paired low word first
+        hash_const = _INIT_B
+        state32 = []
+        for i in range(8):
+            value, hash_const = _hash32(pool[i % 4], hash_const, _MULT_B)
+            state32.append(value)
+        w0, w1, w2, w3 = (state32[i] | state32[i + 1] << 32 for i in range(0, 8, 2))
+        # PCG64 srandom_r with initstate = w0:w1 and initseq = w2:w3
+        self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self._state = ((self._inc + (w0 << 64 | w1)) * _PCG64_MULT + self._inc) & _MASK128
+
+    def uniform(self, low: float, high: float) -> float:
+        """The next `Generator.uniform(low, high)`: low + (high - low) * next_double."""
+        state = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
         # XSL-RR output, then its top 53 bits as a double in [0, 1)
         x = ((state >> 64) ^ state) & _MASK64
         rot = state >> 122
         x = (x >> rot | x << (64 - rot)) & _MASK64
-        draws.append(-1.0 + 2.0 * ((x >> 11) * 2.0**-53))
-    return draws
+        return low + (high - low) * ((x >> 11) * 2.0**-53)
 
 
 def initial_theta(scenario: Scenario) -> rls.Vector3:
     """Initial estimate: explicit override or nominal perturbed by the seed.
 
     The perturbation draws are numpy `default_rng(seed)`'s first three
-    uniform(-1, 1) doubles, computed without loading `numpy.random`.
+    uniform(-1, 1) doubles, drawn from `UniformStream`.
     """
     if scenario.rls.theta0 is not None:
         return scenario.rls.theta0
-    draws = _seeded_uniform(scenario.seed, 3)
+    stream = UniformStream(scenario.seed)
     scale = scenario.rls.theta0_perturbation
-    return tuple(t * (1.0 + scale * r) for t, r in zip(rls.true_theta(scenario.params), draws))
+    return tuple(
+        t * (1.0 + scale * stream.uniform(-1.0, 1.0)) for t in rls.true_theta(scenario.params)
+    )
 
 
 def run(scenario: Scenario) -> tuple[list[TraceRecord], RunSummary]:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import pairwise
+from itertools import chain, pairwise
+from operator import itemgetter
 
 from .sim import TraceRecord
 
@@ -54,9 +55,13 @@ def read_trace(path) -> list[TraceRecord]:
     return records
 
 
-# the columns a consistent trace holds finite: a NaN compares False in every
-# tolerance check below, and an infinite one widens its own tolerance to inf
-_FINITE_COLUMNS = ("t", "x1", "x2", "S1", "S2", "u", "Q", "V2", "condition_residual")
+# a consistent trace holds every column finite (a NaN compares False in every
+# tolerance check below, and an infinite one widens its own tolerance to inf),
+# except that a run without an estimate logs theta1-3 NaN on every row
+_THETA = ("theta1", "theta2", "theta3")
+_NOT_THETA = [name for name in TRACE_COLUMNS if name not in _THETA]
+_theta_of = itemgetter(*map(TRACE_COLUMNS.index, _THETA))
+_not_theta_of = itemgetter(*map(TRACE_COLUMNS.index, _NOT_THETA))
 
 
 def check_trace(records: list[TraceRecord]) -> list[str]:
@@ -64,8 +69,9 @@ def check_trace(records: list[TraceRecord]) -> list[str]:
 
     Recomputable columns must match to 1e-12: V2 from S1, S2 and the
     condition residual times Q, which is the constant effort weight R.
-    Those columns, t, x1, x2 and u must be finite, and so must the
-    recomputed V2.  Timestamps must advance on a uniform grid: each step
+    Every column must be finite, and so must the recomputed V2; only a
+    trace without an estimate (not adaptive) holds theta1-3, and then NaN
+    on every row.  Timestamps must advance on a uniform grid: each step
     between two finite times must be > 0 and match the first such step.
     """
     problems = []
@@ -88,6 +94,8 @@ def check_trace(records: list[TraceRecord]) -> list[str]:
         ),
         math.nan,
     )
+    no_estimate = all(map(math.isnan, chain.from_iterable(map(_theta_of, records))))
+    names, finite_of = (_NOT_THETA, _not_theta_of) if no_estimate else (TRACE_COLUMNS, tuple)
     for k, r in enumerate(records):
         # products, not **2: a square that overflows is inf instead of an OverflowError
         v2 = 0.5 * (r.S1 * r.S1) + 0.5 * (r.S2 * r.S2)
@@ -96,9 +104,15 @@ def check_trace(records: list[TraceRecord]) -> list[str]:
         rq = r.condition_residual * r.Q
         if abs(rq - r_weight) > 1e-12 * (1.0 + abs(r_weight)):
             problems.append(f"row {k}: condition_residual*Q = {rq!r} not constant")
-        for name in _FINITE_COLUMNS:
-            if not math.isfinite(getattr(r, name)):
-                problems.append(f"row {k}: non-finite {name}")
+        values = finite_of(r)
+        # a sum is finite only if every term is; one that overflows only
+        # takes the name-by-name pass
+        if not math.isfinite(sum(values)):
+            problems.extend(
+                f"row {k}: non-finite {name}"
+                for name, v in zip(names, values)
+                if not math.isfinite(v)
+            )
         if k > 0 and math.isfinite(r.t) and math.isfinite(records[k - 1].t):
             gap = r.t - records[k - 1].t
             if not gap > 0:

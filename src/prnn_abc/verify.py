@@ -18,8 +18,8 @@ law); it never raises.
 
 from __future__ import annotations
 
-import copy
 import math
+import random
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +33,7 @@ from .qp import QpCoefficients
 # neither is called here, but the benchmark's traced pass wraps verify.regressor
 # and verify.true_theta
 from .rls import regressor, true_theta  # noqa: F401
-from .sim import lyapunov_monitor
+from .sim import UniformStream, lyapunov_monitor
 
 ORACLE_QPS = 1000  # random QPs in prnn-oracle
 GRADIENT_POINTS = 1000  # random points in gradient
@@ -62,18 +62,19 @@ def _aborted(summary: sim.RunSummary, run: str = "run") -> SuiteResult:
     return SuiteResult(passed=False, lines=[f"{run} aborted: {summary.abort_reason}"])
 
 
-def _random_box(rng: np.random.Generator, half_width: float) -> tuple[float, float]:
+def _random_box(stream: UniformStream, half_width: float) -> tuple[float, float]:
     """A random interval in [-half_width, half_width], at least 1e-3 wide."""
-    lo, hi = np.sort(rng.uniform(-half_width, half_width, 2))
+    lo, hi = sorted((stream.uniform(-half_width, half_width),
+                     stream.uniform(-half_width, half_width)))
     if hi - lo < 1e-3:
         hi = lo + 1e-3
-    return float(lo), float(hi)
+    return lo, hi
 
 
-def _random_qp(rng: np.random.Generator) -> QpCoefficients:
-    q = 10.0 ** rng.uniform(-2.0, 2.0)
-    p = rng.uniform(-100.0, 100.0)
-    return QpCoefficients(p, q, *_random_box(rng, 10.0))
+def _random_qp(stream: UniformStream) -> QpCoefficients:
+    q = 10.0 ** stream.uniform(-2.0, 2.0)
+    p = stream.uniform(-100.0, 100.0)
+    return QpCoefficients(p, q, *_random_box(stream, 10.0))
 
 
 def suite_prnn_oracle(seed: int = 0) -> SuiteResult:
@@ -82,13 +83,13 @@ def suite_prnn_oracle(seed: int = 0) -> SuiteResult:
     Random frozen coefficients, relaxation to residual 1e-9, comparison
     against clamp(-P/Q) within 1e-6.
     """
-    rng = np.random.default_rng(seed)
+    stream = UniformStream(seed)
     cfg = PrnnConfig(vartheta=50.0)
     worst = 0.0
     unconverged = 0
     for _ in range(ORACLE_QPS):
-        coeffs = _random_qp(rng)
-        phi0 = rng.uniform(-50.0, 50.0)
+        coeffs = _random_qp(stream)
+        phi0 = stream.uniform(-50.0, 50.0)
         result = prnn.relax_until(phi0, coeffs, cfg, tol=1e-9)
         if result.residual > 1e-9:
             unconverged += 1
@@ -352,11 +353,11 @@ def suite_saturation(seed: int = 0) -> SuiteResult:
 
 def suite_gradient(seed: int = 0) -> SuiteResult:
     """QP gradient against central finite differences of the cost."""
-    rng = np.random.default_rng(seed)
+    stream = UniformStream(seed)
     worst = 0.0
     for _ in range(GRADIENT_POINTS):
-        coeffs = _random_qp(rng)
-        u = rng.uniform(-10.0, 10.0)
+        coeffs = _random_qp(stream)
+        u = stream.uniform(-10.0, 10.0)
         h = 1e-4 * (1.0 + abs(u))
         fd = (qp.cost(coeffs, u + h) - qp.cost(coeffs, u - h)) / (2.0 * h)
         scale = 1.0 + abs(coeffs.Q * u) + abs(coeffs.P)
@@ -401,42 +402,37 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
     )
 
 
-def _consecutive_streams(
-    rng: np.random.Generator, n: int, count: int
-) -> list[np.random.Generator]:
-    """`count` generators, the i-th starting where rng stands after i*n more doubles.
+def _unit_doubles(rand: random.Random, count: int) -> np.ndarray:
+    """`count` doubles in [0, 1): the top 53 bits of each little-endian uint64 of rand's bytes.
 
-    Generator.uniform takes one 64-bit output of rng's PCG64 stream per double,
-    so drawing from the i-th in slices gives the i-th of `count` consecutive
-    whole draws of n doubles from rng, bit for bit.
+    randbytes(8 * m) then randbytes(8 * n) are the bytes of one randbytes(8 * (m + n)),
+    so drawing in slices gives one whole draw.
     """
-    streams = []
-    for i in range(count):
-        bits = copy.deepcopy(rng.bit_generator)
-        bits.advance(i * n)
-        streams.append(np.random.Generator(bits))
-    return streams
+    return (np.frombuffer(rand.randbytes(8 * count), dtype="<u8") >> 11) * 2.0**-53
 
 
 def suite_projection(seed: int = 0) -> SuiteResult:
     """prnn.project is the clamp, non-expansive and obtuse-angled.
 
-    The pairs are drawn, projected and reduced in slices of
-    _PROJECTION_CHUNK, so no array or list holds all of them; the draws and
-    the figures are those of whole draws of a, b and then sigma.
+    The box comes from `UniformStream(seed)`; a, b and sigma from the stdlib
+    `random.Random(seed)`, one triple of uniforms per pair, as
+    `low + (high - low) * unit` like numpy's uniform.  The pairs are drawn,
+    projected and reduced in slices of _PROJECTION_CHUNK, so no array or
+    list holds all of them; the draws and the figures are those of one
+    whole draw of every triple.
     """
-    rng = np.random.default_rng(seed)
     n = PROJECTION_PAIRS
-    lo, hi = box = _random_box(rng, 5.0)
-    draw_a, draw_b, draw_sigma = _consecutive_streams(rng, n, 3)
+    lo, hi = box = _random_box(UniformStream(seed), 5.0)
+    rand = random.Random(seed)
     is_clamp = True
     expansions = []
     angles = []
     for start in range(0, n, _PROJECTION_CHUNK):
         size = min(_PROJECTION_CHUNK, n - start)
-        a = draw_a.uniform(-20.0, 20.0, size)
-        b = draw_b.uniform(-20.0, 20.0, size)
-        sigma = draw_sigma.uniform(lo, hi, size)  # arbitrary feasible points
+        unit_a, unit_b, unit_sigma = _unit_doubles(rand, 3 * size).reshape(size, 3).T
+        a = -20.0 + 40.0 * unit_a
+        b = -20.0 + 40.0 * unit_b
+        sigma = lo + (hi - lo) * unit_sigma  # arbitrary feasible points
         pa, pb = (np.array([prnn.project(v, box) for v in x.tolist()]) for x in (a, b))
         is_clamp = (
             is_clamp

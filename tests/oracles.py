@@ -5,6 +5,7 @@ the fused code paths of the package, so that a test can use them as oracles.
 """
 
 import math
+import random
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +16,7 @@ from prnn_abc import prnn, rls, sim
 from prnn_abc.backstepping import ErrorCoords, Gains, ReferenceSignal
 from prnn_abc.config import Scenario, Timing, dumps_scenario
 from prnn_abc.plant import PendulumParams, PlantState
+from prnn_abc.qp import QpCoefficients
 
 
 def derivatives(
@@ -74,22 +76,36 @@ def save_scenario(path, scenario: Scenario) -> None:
     Path(path).write_text(dumps_scenario(scenario), encoding="utf-8")
 
 
+def random_box(rng: np.random.Generator, half_width: float) -> tuple[float, float]:
+    """`verify._random_box` drawn by numpy: two uniforms sorted by np.sort."""
+    lo, hi = np.sort(rng.uniform(-half_width, half_width, 2))
+    if hi - lo < 1e-3:
+        hi = lo + 1e-3
+    return float(lo), float(hi)
+
+
+def random_qp(rng: np.random.Generator) -> QpCoefficients:
+    """`verify._random_qp` drawn by numpy."""
+    q = 10.0 ** rng.uniform(-2.0, 2.0)
+    p = rng.uniform(-100.0, 100.0)
+    return QpCoefficients(p, q, *random_box(rng, 10.0))
+
+
 def projection_details(seed: int, pairs: int = 100_000) -> dict[str, float]:
     """The `projection` suite's figures, from whole arrays of every pair.
 
-    Draws the box, a, b and sigma in one call each, in the suite's order,
-    and reduces each figure over all pairs at once.
+    Draws the box from numpy's `default_rng(seed)`, then every (a, b, sigma)
+    triple in one `random.Random(seed).randbytes` call, and reduces each
+    figure over all pairs at once.
     """
-    rng = np.random.default_rng(seed)
-    lo, hi = np.sort(rng.uniform(-5.0, 5.0, 2))
-    if hi - lo < 1e-3:
-        hi = lo + 1e-3
-    lo, hi = box = float(lo), float(hi)
-    a = rng.uniform(-20.0, 20.0, pairs)
-    b = rng.uniform(-20.0, 20.0, pairs)
+    lo, hi = box = random_box(np.random.default_rng(seed), 5.0)
+    bits = np.frombuffer(random.Random(seed).randbytes(24 * pairs), dtype="<u8")
+    unit_a, unit_b, unit_sigma = ((bits >> 11) * 2.0**-53).reshape(pairs, 3).T
+    a = -20.0 + 40.0 * unit_a
+    b = -20.0 + 40.0 * unit_b
     pa, pb = (np.array([prnn.project(v, box) for v in x.tolist()]) for x in (a, b))
     assert np.array_equal(pa, np.clip(a, lo, hi)) and np.array_equal(pb, np.clip(b, lo, hi))
-    sigma = rng.uniform(lo, hi, pairs)
+    sigma = lo + (hi - lo) * unit_sigma
     return {
         "worst_expansion": float(np.max(np.abs(pa - pb) - np.abs(a - b))),
         "worst_obtuse_angle": float(np.min((pa - sigma) * (a - pa))) + 0.0,

@@ -8,13 +8,17 @@ exact solution that criterion 8b measures the integrator against.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import lyapunov_details, projection_details
+from oracles import lyapunov_details, projection_details, random_box, random_qp
 from prnn_abc import plant, verify
 from prnn_abc.plant import PendulumParams, PlantState
 
@@ -109,13 +113,29 @@ def test_lyapunov_figures_equal_the_all_traces_pass(seed, lyapunov_oracle):
     assert repr(verify.suite_lyapunov(seed=seed).details) == repr(lyapunov_oracle)
 
 
-def test_consecutive_streams_continue_one_whole_draw():
-    rng = np.random.default_rng(3)
-    rng.uniform(size=2)
-    whole = np.random.default_rng(3).uniform(-1.0, 1.0, 2 + 3 * 1000)[2:]
-    streams = verify._consecutive_streams(rng, 1000, 3)
-    sliced = [s.uniform(-1.0, 1.0, size) for s in streams for size in (999, 1)]
-    assert np.array_equal(np.concatenate(sliced), whole)
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+@pytest.mark.parametrize("suite", ["prnn-oracle", "gradient"])
+def test_random_suites_draw_as_numpys_default_rng(monkeypatch, suite, seed):
+    # the same suite drawing from numpy's generator, its boxes sorted by np.sort
+    details = verify.SUITES[suite](seed=seed).details
+    monkeypatch.setattr(verify, "UniformStream", np.random.default_rng)
+    monkeypatch.setattr(verify, "_random_box", random_box)
+    monkeypatch.setattr(verify, "_random_qp", random_qp)
+    assert repr(details) == repr(verify.SUITES[suite](seed=seed).details)
+
+
+def test_verify_does_not_load_numpy_random():
+    # a fresh interpreter: this module imports numpy.random itself
+    code = "import sys; from prnn_abc import verify; verify.run_suites(); " \
+        "print('numpy.random' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def _traced_peak_mb(fn) -> float:

@@ -113,16 +113,35 @@ def test_seed_changes_adaptive_run():
 
 _DRAW_SEEDS = (
     list(range(1000))
-    + [2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100]
+    + [2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5, 2**100]
     + np.random.default_rng(20141).integers(0, 2**64, 300, dtype=np.uint64).tolist()
 )
+# the (low, high) pairs the package draws with, and some that share no width
+_DRAW_BOUNDS = [
+    (-1.0, 1.0), (-2.0, 2.0), (-100.0, 100.0), (-10.0, 10.0), (-50.0, 50.0), (-5.0, 5.0),
+    (0.3, 0.7), (-1e-3, 7.5), (3.0500292374538027, 3.0794078973649377), (-1e300, 1e300),
+]
 
 
 def test_initial_theta_draws_are_numpys_default_rng():
     # the pure-Python PCG64 reproduces numpy's doubles bit for bit
+    adaptive = replace(STABILIZE, adaptive=True)
+    scale = adaptive.rls.theta0_perturbation
+    truth = sim.rls.true_theta(adaptive.params)
     for seed in _DRAW_SEEDS:
-        want = np.random.default_rng(seed).uniform(-1.0, 1.0, 3).tolist()
-        assert sim._seeded_uniform(seed, 3) == want, seed
+        rng = np.random.default_rng(seed)
+        want = tuple(t * (1.0 + scale * rng.uniform(-1.0, 1.0)) for t in truth)
+        assert sim.initial_theta(replace(adaptive, seed=seed)) == want, seed
+
+
+def test_uniform_stream_is_numpys_default_rng_call_by_call():
+    for seed in _DRAW_SEEDS:
+        rng, stream = np.random.default_rng(seed), sim.UniformStream(seed)
+        for i in range(12):
+            low, high = _DRAW_BOUNDS[(seed + i) % len(_DRAW_BOUNDS)]
+            want = rng.uniform(low, high)
+            assert type(want) is float
+            assert repr(stream.uniform(low, high)) == repr(want), (seed, i)
 
 
 def test_adaptive_run_and_validate_do_not_load_numpy_random(tmp_path):

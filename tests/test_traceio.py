@@ -4,13 +4,14 @@ import csv
 import io
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from prnn_abc.backstepping import ReferenceSignal
 from prnn_abc.config import Scenario, Timing
 from prnn_abc.plant import PlantState
-from prnn_abc.sim import run
+from prnn_abc.sim import default_scenario, run, sinusoid_scenario
 from prnn_abc.traceio import (
     TRACE_COLUMNS,
     TraceFormatError,
@@ -35,6 +36,16 @@ def short_trace():
     )
     trace, _ = run(scenario)
     return trace
+
+
+@pytest.fixture(scope="module")
+def default_trace():
+    return run(default_scenario())[0]
+
+
+@pytest.fixture(scope="module")
+def adaptive_trace():
+    return run(replace(sinusoid_scenario(), adaptive=True))[0]
 
 
 def _as_columns(record):
@@ -145,6 +156,49 @@ def test_check_trace_catches_a_non_finite_column(short_trace, column, value, pro
     assert problems
     assert all(p.startswith(f"row {k}: ") for p in problems)
     assert any(p.startswith(problem.format(k=k)) for p in problems)
+
+
+def test_check_trace_default_and_adaptive_traces_are_consistent(default_trace, adaptive_trace):
+    assert math.isnan(default_trace[5].theta1) and math.isfinite(adaptive_trace[5].theta1)
+    assert check_trace(default_trace) == []
+    assert check_trace(adaptive_trace) == []
+
+
+@pytest.mark.parametrize(
+    "column", ["x1d", "phi", "A", "B", "P", "V2_dot_ideal", "prnn_residual"]
+)
+def test_check_trace_reports_a_nan_in_a_column_no_check_recomputes(default_trace, column):
+    # no tolerance check reads these columns, so a NaN in one once passed
+    tampered = list(default_trace)
+    tampered[5] = tampered[5]._replace(**{column: math.nan})
+    assert check_trace(tampered) == [f"row 5: non-finite {column}"]
+
+
+def test_check_trace_passes_finite_columns_whose_sum_overflows(default_trace):
+    tampered = list(default_trace)
+    tampered[5] = tampered[5]._replace(phi=1e308, P=1e308)
+    assert check_trace(tampered) == []
+
+
+def test_check_trace_reports_a_partial_theta_triple(default_trace):
+    # a trace with one finite estimate value holds an estimate: every NaN
+    # theta in it is reported, those of the untouched rows too
+    tampered = list(default_trace)
+    tampered[5] = tampered[5]._replace(theta2=1.0)
+    problems = check_trace(tampered)
+    assert problems[:4] == [f"row 0: non-finite theta{i}" for i in (1, 2, 3)] + [
+        "row 1: non-finite theta1"
+    ]
+    assert [p for p in problems if p.startswith("row 5: ")] == [
+        "row 5: non-finite theta1", "row 5: non-finite theta3"
+    ]
+    assert len(problems) == 3 * len(tampered) - 1
+
+
+def test_check_trace_reports_a_nan_theta_row_of_an_adaptive_trace(adaptive_trace):
+    tampered = list(adaptive_trace)
+    tampered[5] = tampered[5]._replace(theta1=math.nan, theta2=math.nan, theta3=math.nan)
+    assert check_trace(tampered) == [f"row 5: non-finite theta{i}" for i in (1, 2, 3)]
 
 
 def test_check_trace_constant_weight_survives_a_nan_first_row(short_trace):
