@@ -218,22 +218,23 @@ def suite_stabilization(seed: int = 0) -> SuiteResult:
     trace, summary = sim.run(scenario)
     if summary.aborted:
         return _aborted(summary)
-    u = np.array([r.u for r in trace])
+    u = [r.u for r in trace]
     lo, hi = scenario.bounds
     settled = summary.settling_time  # nan if never, and nan <= 5.0 is False
-    within_bounds = bool(np.all((u >= lo) & (u <= hi)))
+    within_bounds = all(lo <= v <= hi for v in u)
+    max_abs_u = max(map(abs, u))
     transient, violations = _late_violations(trace, scenario)
     passed = settled <= 5.0 and within_bounds and not violations
     return SuiteResult(
         passed=passed,
         details={
             "settling_time": settled,
-            "max_abs_u": float(np.max(np.abs(u))),
+            "max_abs_u": max_abs_u,
             "monitor_violations": float(len(violations)),
         },
         lines=[
             f"|x1| < {scenario.settle_tol:g} rad from t = {settled:.2f}s; "
-            f"max |u| = {np.max(np.abs(u)):.3f} N; "
+            f"max |u| = {max_abs_u:.3f} N; "
             f"{len(violations)} V2 violations after {transient:.2f}s"
         ],
     )
@@ -333,9 +334,8 @@ def suite_saturation(seed: int = 0) -> SuiteResult:
     trace, summary = sim.run(scenario)
     if summary.aborted:
         return _aborted(summary)
-    u = np.array([r.u for r in trace])
     lo, hi = scenario.bounds
-    within = bool(np.all((u >= lo) & (u <= hi)))
+    within = all(lo <= r.u <= hi for r in trace)
     passed = summary.saturation_fraction > 0.0 and within and summary.settling_time <= 10.0
     return SuiteResult(
         passed=passed,

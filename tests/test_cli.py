@@ -349,7 +349,9 @@ def test_verify_all_suites_pass(capsys):
 def test_verify_monitor_on_named_scenario(tmp_path, quick_config, capsys):
     code = main(["verify", "--suite", "lyapunov", "--scenario", str(quick_config)])
     assert code == 0
-    assert "lyapunov-monitor" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[PASS] lyapunov-monitor" in out
+    assert "2/2 suites passed" in out
 
 
 def test_verify_scenario_adds_monitor_to_all_criteria(quick_config, capsys):
@@ -458,6 +460,11 @@ def test_sweep_thread_env(tmp_path, quick_config, monkeypatch, capsys):
     capsys.readouterr()
     assert len(_sweep_rows(tmp_path, quick_config, "prnn.vartheta=25,50")) == 2
     assert "ignoring malformed PRNN_ABC_THREADS='abc'" in capsys.readouterr().err
+    # an invalid cell is recorded by name; the two valid ones run in the pool
+    monkeypatch.setenv("PRNN_ABC_THREADS", "2")
+    rows = _sweep_rows(tmp_path, quick_config, "gains.c1=inf,2,3")
+    assert rows[0]["status"] == "ValueError: key 'gains.c1' must be finite, got inf"
+    assert [r["status"] for r in rows[1:]] == ["ok", "ok"]
 
 
 # each of these used to end in a traceback, a clean-looking exit-0 trace, or
@@ -472,6 +479,7 @@ LOUD_FAILURES = [
     ("weights.T", "weights: {T: .inf}"),
     ("weights.R", "weights: {R: .inf}"),
     ("params.g", "params: {g: .inf}"),
+    ("params.m_c", "params: {m_c: abc}"),
     ("gains.c1", "gains: {c1: .inf}"),
     ("reference.setpoint", "reference: {setpoint: .nan}"),
     ("reference.amplitude", "reference: {amplitude: .nan}"),
@@ -607,6 +615,7 @@ def test_sweep_infinite_gain_is_cell_error(tmp_path, quick_config):
 
 def test_sweep_aborted_cell_records_its_reason(tmp_path, quick_config):
     rows = _sweep_rows(tmp_path, quick_config, "initial.x1=1.6,0.1")
+    assert list(rows[0])[0] == "initial.x1"  # any scalar key path is an axis
     assert rows[0]["status"] == "aborted: |x1| >= pi/2 at t=0.000000 (x1=1.6000 rad)"
     assert rows[0]["aborted"] == "True"
     assert rows[1]["status"] == "ok"

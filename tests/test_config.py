@@ -253,11 +253,14 @@ def test_empty_tree_is_default_scenario():
     assert parse_scenario(None) == Scenario()
 
 
-def test_empty_section_keeps_the_base_values():
+def test_empty_section_keeps_the_base_values(tmp_path):
     # `gains:` with nothing under it reads as None
     tree = yaml.safe_load("gains:\nbounds:\nseed: 4\n")
     assert tree == {"gains": None, "bounds": None, "seed": 4}
     assert parse_scenario(tree) == Scenario(seed=4)
+    path = tmp_path / "empty.yaml"
+    path.write_text("gains:\nbounds:\nseed: 4\n", encoding="utf-8")
+    assert load_scenario(path) == Scenario(seed=4)
 
 
 @pytest.mark.parametrize(

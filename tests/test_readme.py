@@ -14,11 +14,10 @@ from prnn_abc.sim import default_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
-WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
 # (name, values) of each --grid on a `prnn-abc sweep` command line
 SWEEP_AXES = [
     (name, [float(v) for v in values.split(",")])
-    for line in (README + WORKFLOW).splitlines()
+    for line in README.splitlines()
     if "prnn-abc sweep" in line
     for name, values in re.findall(r'--grid "?([^=\s"]+)=([^\s"]+)', line)
 ]

@@ -109,6 +109,10 @@ def trees(draw):
 @example({"disturbance": {"kind": "sinusoid", "amplitude": 1.0, "frequency": 1.0e308}})
 # a reference phase that overflows within the run once raised from math.sin
 @example({"reference": {"kind": "sinusoid", "amplitude": 0.0, "frequency": 1.0e307}})
+# an adaptive run that tracks a sinusoid under a random disturbance
+@example({"reference": {"kind": "sinusoid", "amplitude": 0.4, "frequency": 0.8},
+          "disturbance": {"kind": "bounded-uniform-random", "amplitude": 0.3, "seed": 5},
+          "timing": {"duration": 1.2}, "rls": {"warmup_steps": 80}, "adaptive": True})
 def test_every_tree_is_config_error_abort_or_clean_run(tree):
     # building a scenario never warns, whatever its weights: T <= R shows in the summary
     with warnings.catch_warnings():
