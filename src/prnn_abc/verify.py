@@ -1,13 +1,13 @@
 """Desk-scale verification suites with fixed seeds and pinned tolerances.
 
 Each suite checks one family of claims about the controller against an
-independent oracle: the closed-form clamp solution for the network, central
-finite differences for the QP gradient, a direct batch solve for the
-recursive estimator, step-halving and a 30-digit solution of the plant ODE
-(`RK4_EXACT_ENDPOINT`) for the integrator, and logged-trace Lyapunov
-monitors for the closed loop.  The CLI `verify` command and the
-acceptance test module both run these functions, so there is one source of
-truth for pass/fail.
+independent oracle: the closed-form clamp solution for the network,
+min(max(a, lo), hi) for the projection, central finite differences for the
+QP gradient, a direct batch solve for the recursive estimator, step-halving
+and a 30-digit solution of the plant ODE (`RK4_EXACT_ENDPOINT`) for the
+integrator, and logged-trace Lyapunov monitors for the closed loop.  The
+CLI `verify` command and the acceptance test module both run these
+functions, so there is one source of truth for pass/fail.
 
 A suite's name is its key in `SUITES`, and nowhere else: a `SuiteResult`
 carries no name, and `run_suites` returns each result under its key.  A
@@ -19,8 +19,8 @@ law); it never raises.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .sim import UniformStream, lyapunov_monitor
 
 ORACLE_QPS = 1000  # random QPs in prnn-oracle
 GRADIENT_POINTS = 1000  # random points in gradient
-PROJECTION_PAIRS = 100_000  # random pairs in projection
-_PROJECTION_CHUNK = 4096  # pairs drawn and projected per slice in projection
+PROJECTION_POINTS = 317  # points in projection: 317 * 316 >= 100,000 ordered pairs
 # x(0.5 s) of the plant from (0.1 rad, 0) with no force and no disturbance,
 # under the default PendulumParams: mpmath.odefun at 30 digits, rounded to
 # the nearest doubles; tests/test_acceptance.py recomputes it
@@ -402,57 +401,37 @@ def suite_rk4_order(seed: int = 0) -> SuiteResult:
     )
 
 
-def _unit_doubles(rand: random.Random, count: int) -> np.ndarray:
-    """`count` doubles in [0, 1): the top 53 bits of each little-endian uint64 of rand's bytes.
-
-    randbytes(8 * m) then randbytes(8 * n) are the bytes of one randbytes(8 * (m + n)),
-    so drawing in slices gives one whole draw.
-    """
-    return (np.frombuffer(rand.randbytes(8 * count), dtype="<u8") >> 11) * 2.0**-53
-
-
 def suite_projection(seed: int = 0) -> SuiteResult:
     """prnn.project is the clamp, non-expansive and obtuse-angled.
 
-    The box comes from `UniformStream(seed)`; a, b and sigma from the stdlib
-    `random.Random(seed)`, one triple of uniforms per pair, as
-    `low + (high - low) * unit` like numpy's uniform.  The pairs are drawn,
-    projected and reduced in slices of _PROJECTION_CHUNK, so no array or
-    list holds all of them; the draws and the figures are those of one
-    whole draw of every triple.
+    The points are the box's edges (lo, hi, the doubles on either side of
+    each, the midpoint, -20 and 20) and uniforms on [-20, 20) drawn from the
+    stream that drew the box, PROJECTION_POINTS in all; the expansion is
+    checked on every ordered pair of distinct points.
     """
-    n = PROJECTION_PAIRS
-    lo, hi = box = _random_box(UniformStream(seed), 5.0)
-    rand = random.Random(seed)
-    is_clamp = True
-    expansions = []
-    angles = []
-    for start in range(0, n, _PROJECTION_CHUNK):
-        size = min(_PROJECTION_CHUNK, n - start)
-        unit_a, unit_b, unit_sigma = _unit_doubles(rand, 3 * size).reshape(size, 3).T
-        a = -20.0 + 40.0 * unit_a
-        b = -20.0 + 40.0 * unit_b
-        sigma = lo + (hi - lo) * unit_sigma  # arbitrary feasible points
-        pa, pb = (np.array([prnn.project(v, box) for v in x.tolist()]) for x in (a, b))
-        is_clamp = (
-            is_clamp
-            and np.array_equal(pa, np.clip(a, lo, hi))
-            and np.array_equal(pb, np.clip(b, lo, hi))
-        )
-        # never -0.0 (x - x is +0.0), so the max of the slice maxima is the max
-        expansions.append(np.max(np.abs(pa - pb) - np.abs(a - b)))
-        angles.append(np.min((pa - sigma) * (a - pa)))
-    worst_expansion = float(np.max(expansions))
-    # + 0.0 turns -0.0 into +0.0: which signed zero a min returns is unspecified
-    worst_angle = float(np.min(angles)) + 0.0
+    stream = UniformStream(seed)
+    lo, hi = box = _random_box(stream, 5.0)
+    points = [lo, hi, *(math.nextafter(end, to) for end in box for to in (-math.inf, math.inf)),
+              0.5 * (lo + hi), -20.0, 20.0]
+    points += [stream.uniform(-20.0, 20.0) for _ in range(PROJECTION_POINTS - len(points))]
+    projected = [(a, prnn.project(a, box)) for a in points]
+    is_clamp = all(pa == min(max(a, lo), hi) for a, pa in projected)
+    # never -0.0 (x - x is +0.0), so the max is the exact worst
+    worst_expansion = max(
+        abs(pa - pb) - abs(a - b) for (a, pa), (b, pb) in permutations(projected, 2)
+    )
+    # (PR(a) - s)(a - PR(a)) is affine in s, so its minimum over the box is at lo
+    # or hi; + 0.0 turns -0.0 into +0.0: which signed zero a min returns is unspecified
+    worst_angle = min((pa - s) * (a - pa) for a, pa in projected for s in box) + 0.0
     passed = is_clamp and worst_expansion <= 0.0 and worst_angle >= -1e-12
+    pairs = len(points) * (len(points) - 1)
     return SuiteResult(
         passed=passed,
         details={"worst_expansion": worst_expansion, "worst_obtuse_angle": worst_angle},
         lines=[
-            f"{n} pairs: max(|PR(a)-PR(b)| - |a-b|) = {worst_expansion:.3e}, "
-            f"min (PR(a)-s)(a-PR(a)) = {worst_angle:.3e}"
-        ] + ([] if is_clamp else ["prnn.project differs from np.clip"]),
+            f"{len(points)} points, {pairs} ordered pairs: max(|PR(a)-PR(b)| - |a-b|) = "
+            f"{worst_expansion:.3e}, min (PR(a)-s)(a-PR(a)) = {worst_angle:.3e}"
+        ] + ([] if is_clamp else ["prnn.project differs from min(max(a, lo), hi)"]),
     )
 
 

@@ -4,15 +4,20 @@ The model restatements are written out from their closed forms, apart from
 the fused code paths of the package, so that a test can use them as oracles.
 """
 
+import ast
+import functools
 import math
-import random
+import os
 import struct
+import subprocess
+import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from prnn_abc import prnn, rls, sim
+from prnn_abc import rls, sim
 from prnn_abc.backstepping import ErrorCoords, Gains, ReferenceSignal
 from prnn_abc.config import Scenario, Timing, dumps_scenario
 from prnn_abc.plant import PendulumParams, PlantState
@@ -91,27 +96,6 @@ def random_qp(rng: np.random.Generator) -> QpCoefficients:
     return QpCoefficients(p, q, *random_box(rng, 10.0))
 
 
-def projection_details(seed: int, pairs: int = 100_000) -> dict[str, float]:
-    """The `projection` suite's figures, from whole arrays of every pair.
-
-    Draws the box from numpy's `default_rng(seed)`, then every (a, b, sigma)
-    triple in one `random.Random(seed).randbytes` call, and reduces each
-    figure over all pairs at once.
-    """
-    lo, hi = box = random_box(np.random.default_rng(seed), 5.0)
-    bits = np.frombuffer(random.Random(seed).randbytes(24 * pairs), dtype="<u8")
-    unit_a, unit_b, unit_sigma = ((bits >> 11) * 2.0**-53).reshape(pairs, 3).T
-    a = -20.0 + 40.0 * unit_a
-    b = -20.0 + 40.0 * unit_b
-    pa, pb = (np.array([prnn.project(v, box) for v in x.tolist()]) for x in (a, b))
-    assert np.array_equal(pa, np.clip(a, lo, hi)) and np.array_equal(pb, np.clip(b, lo, hi))
-    sigma = lo + (hi - lo) * unit_sigma
-    return {
-        "worst_expansion": float(np.max(np.abs(pa - pb) - np.abs(a - b))),
-        "worst_obtuse_angle": float(np.min((pa - sigma) * (a - pa))) + 0.0,
-    }
-
-
 def lyapunov_details() -> dict[str, float]:
     """The `lyapunov` suite's figures, from all six exact-law traces at once."""
     timing = Timing(plant_dt=0.001, control_period=0.001, duration=3.0)
@@ -181,3 +165,65 @@ def summarize(records, scenario: Scenario, aborted: bool, reason: str, nonphysic
         final_v2=last.V2,
         **flags,
     )
+
+
+_CHECKPOINTS = """
+import os, sys
+from prnn_abc.cli import main
+WATCHED = ('numpy', 'numpy.random', 'concurrent', 'concurrent.futures', 'multiprocessing')
+def checkpoint():
+    print('loaded', [m for m in WATCHED if m in sys.modules])
+def ok(*argv):
+    assert main(list(argv)) == 0, argv
+os.chdir(sys.argv[1])
+checkpoint()
+ok('simulate', '--out', 'a')
+ok('simulate', '--config', 'constant.yaml', '--out', 'b')
+ok('validate', 'a/trace.csv')
+ok('simulate', '--adaptive', 'on', '--out', 'e')
+ok('validate', 'e/trace.csv')
+ok('sweep', '--grid', 'gains.c1=1,2', '--out', 's')
+checkpoint()
+ok('simulate', '--config', 'sinusoid.yaml', '--out', 'c')
+ok('validate', 'c/trace.csv')
+ok('simulate', '--config', 'random.yaml', '--out', 'd')
+ok('validate', 'd/trace.csv')
+checkpoint()
+ok('verify')
+checkpoint()
+os.environ['PRNN_ABC_THREADS'] = '2'
+ok('sweep', '--config', 'constant.yaml', '--grid', 'gains.c1=1,2', '--out', 'p')
+checkpoint()
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def module_load_checkpoints() -> tuple[list[str], ...]:
+    """The watched modules loaded at each of five ordered checkpoints of one fresh interpreter.
+
+    A fresh interpreter, since the test modules import numpy and
+    concurrent.futures themselves.  The checkpoints follow: importing the CLI;
+    default, constant-disturbance and adaptive runs with validate, and a serial
+    sweep; sinusoid and random-disturbance runs with validate; verify (all
+    suites); a PRNN_ABC_THREADS=2 sweep.  The module-load tests share this one
+    run and each asserts its own checkpoints.
+    """
+    configs = {
+        "constant": "disturbance: {kind: constant, amplitude: 0.2}",
+        "sinusoid": "disturbance: {kind: sinusoid, amplitude: 0.2, frequency: 1.5}",
+        "random": "disturbance: {kind: bounded-uniform-random, amplitude: 0.2, seed: 4}",
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PRNN_ABC_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in configs.items():
+            Path(work, f"{name}.yaml").write_text(text + "\ntiming: {duration: 1.0}\n", "utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c", _CHECKPOINTS, work], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+    lines = [line for line in done.stdout.splitlines() if line.startswith("loaded ")]
+    assert len(lines) == 5, done.stdout
+    return tuple(ast.literal_eval(line.removeprefix("loaded ")) for line in lines)
+

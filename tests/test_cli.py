@@ -283,11 +283,11 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_projection_prints_its_pinned_figure(capsys):
-    # clamps, differences and a max only, no libm: the figure pins the draw
-    # order of the box, a and b on any host.  Seed 5's box is 0.029 wide, so
-    # no pair lies inside it whole and the figure is not 0
+    # clamps, differences and a max only, no libm.  Seed 5's box is 0.029
+    # wide, yet its edge points are pairs inside it, which a clamp leaves
+    # apart by exactly |a - b|, so the figure is 0 as at every seed
     assert main(["verify", "--suite", "projection", "--seed", "5"]) == 0
-    assert "worst_expansion=-4.882e-04" in capsys.readouterr().out
+    assert "worst_expansion=0.000e+00" in capsys.readouterr().out
 
 
 def test_verify_help_lists_every_suite(capsys, monkeypatch):

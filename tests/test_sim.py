@@ -2,17 +2,14 @@
 
 import concurrent.futures
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import module_load_checkpoints
 import prnn_abc.plant as plant_module
 from prnn_abc import sim, verify
 from prnn_abc.backstepping import Gains, ReferenceSignal
@@ -142,24 +139,6 @@ def test_uniform_stream_is_numpys_default_rng_call_by_call():
             want = rng.uniform(low, high)
             assert type(want) is float
             assert repr(stream.uniform(low, high)) == repr(want), (seed, i)
-
-
-def test_adaptive_run_and_validate_do_not_load_numpy_random(tmp_path):
-    # a fresh interpreter: this module imports numpy.random itself
-    code = (
-        "import sys; from prnn_abc.cli import main; "
-        f"assert main(['simulate', '--adaptive', 'on', '--out', {str(tmp_path)!r}]) == 0; "
-        f"assert main(['validate', {str(tmp_path / 'trace.csv')!r}]) == 0; "
-        "print('numpy.random' in sys.modules)"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-        check=True,
-    )
-    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_adaptive_tracking_with_perturbed_estimate():
@@ -586,58 +565,30 @@ def test_sweep_pool_capped_at_cell_count(monkeypatch):
     assert cells[0].summary == run(apply_grid_point(base, {"weights.R": 0.1}))[1]
 
 
-def test_time_invariant_runs_do_not_load_numpy(tmp_path):
-    # a fresh interpreter: simulate, validate and a serial sweep with no or a
-    # constant disturbance never import numpy; a time-varying disturbance and
-    # verify import it on first use, and still pass
-    configs = {
-        "constant": "disturbance: {kind: constant, amplitude: 0.2}",
-        "sinusoid": "disturbance: {kind: sinusoid, amplitude: 0.2, frequency: 1.5}",
-        "random": "disturbance: {kind: bounded-uniform-random, amplitude: 0.2, seed: 4}",
-    }
-    for name, text in configs.items():
-        (tmp_path / f"{name}.yaml").write_text(text + "\ntiming: {duration: 1.0}\n", "utf-8")
-    code = (
-        "import os, sys; from prnn_abc.cli import main; os.chdir(sys.argv[1]); "
-        "assert main(['simulate', '--out', 'a']) == 0; "
-        "assert main(['simulate', '--config', 'constant.yaml', '--out', 'b']) == 0; "
-        "assert main(['validate', 'a/trace.csv']) == 0; "
-        "assert main(['sweep', '--grid', 'gains.c1=1,2', '--out', 's']) == 0; "
-        "print('numpy' in sys.modules); "
-        "assert main(['simulate', '--config', 'sinusoid.yaml', '--out', 'c']) == 0; "
-        "assert main(['validate', 'c/trace.csv']) == 0; "
-        "assert main(['simulate', '--config', 'random.yaml', '--out', 'd']) == 0; "
-        "assert main(['validate', 'd/trace.csv']) == 0; "
-        "assert main(['verify', '--suite', 'gradient']) == 0; "
-        "print('numpy' in sys.modules)"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "PRNN_ABC_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
-        timeout=60, check=True,
-    )
-    assert [line for line in done.stdout.splitlines() if line in ("True", "False")] == [
-        "False", "True"
-    ]
+POOL_MODULES = ["concurrent", "concurrent.futures", "multiprocessing"]
 
 
 def test_pool_modules_load_only_for_a_parallel_sweep():
-    # a fresh interpreter: this module imports concurrent.futures itself
-    code = (
-        "import sys, prnn_abc.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-        check=True,
-    )
-    assert done.stdout.strip() == "[]"
+    loaded = module_load_checkpoints()
+    # importing the CLI, every run, validate, a serial sweep and verify: no pool
+    assert not any(set(POOL_MODULES) & set(names) for names in loaded[:4])
+    # a PRNN_ABC_THREADS=2 sweep: the positive control
+    assert set(POOL_MODULES) <= set(loaded[4])
+
+
+def test_time_invariant_runs_do_not_load_numpy():
+    loaded = module_load_checkpoints()
+    # importing the CLI, then default and constant-disturbance runs, validate and
+    # a serial sweep never import numpy
+    assert loaded[0] == [] and loaded[1] == []
+    # a time-varying disturbance imports numpy on first use, and the runs still pass
+    assert loaded[2] == ["numpy"]
+
+
+def test_adaptive_run_and_validate_do_not_load_numpy_random():
+    # the adaptive run draws its initial estimate from the pure-Python PCG64;
+    # it and its validate load no numpy at all
+    assert module_load_checkpoints()[1] == []
 
 
 def test_sweep_grid_order_and_failures():

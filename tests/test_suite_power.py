@@ -4,7 +4,8 @@ Each case patches one fault into the attribute that `sim` reads and runs
 only the suites that must then fail.  Cautions: `rls` imports `drift_term`,
 `gain_term` and `assemble` by name, so patching them in `plant` or `qp`
 leaves the adaptive coefficients true; and `prnn.project` is shared with
-the `prnn-oracle` and `projection` suites, so no fault patches it.  Faults
+the `prnn-oracle` and `projection` suites, so its faults are in
+`test_acceptance.test_projection_fails_on_a_faulty_clamp` instead.  Faults
 that no suite catches (the disturbance sign flipped, the QP dropping the
 reference acceleration ddx1d) are listed in the README as known gaps.
 """
